@@ -102,7 +102,7 @@ def _bench_matrix(spec) -> dict:
     assert rep_comp.time_s == rep_plan.time_s, spec.name
     assert rep_comp.launches == rep_plan.launches, spec.name
     X_plan, _ = prepared.plan.solve_multi(B, device)
-    X_comp, _ = compiled.solve_multi(B)  # first call captures the width
+    X_comp, _ = compiled.solve_multi(B)  # first call freezes the width
     errm = float(np.max(np.abs(X_comp - X_plan)))
     assert errm <= 1e-9 * max(1.0, float(np.max(np.abs(X_plan)))), (
         spec.name, errm,

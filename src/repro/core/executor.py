@@ -1,20 +1,28 @@
-"""Compiled execution plans: the zero-allocation repeated-solve path.
+"""Compiled execution plans: the one executor every production solve runs.
 
 An :class:`ExecutionPlan` is built once and then solved thousands of
 times (the Table 5 economics — ILU factors inside Krylov loops, repeated
-right-hand-side streams).  The plain ``plan.solve`` still pays, on every
-call, per-segment ``isinstance`` dispatch, a re-derived work dtype,
-fresh work/output allocations, and the construction of one
-:class:`KernelReport` per segment even though every built-in kernel's
-report is a pure function of ``(aux, device, n_rhs)``.
+right-hand-side streams).  :func:`compile_plan` turns it into a
+:class:`CompiledPlan`, and every solve the library serves — single- or
+multi-RHS, in plan order or in a sharded schedule's order, observed or
+not — runs through that object's single step loop,
+:meth:`CompiledPlan._execute`.  The four public entry points
+(``solve``, ``solve_multi``, ``solve_ordered``, ``solve_multi_ordered``)
+are thin wrappers over it.  ``ExecutionPlan.solve``/``solve_multi``
+remain only as the uninstrumented reference loop that tests and
+benchmarks compare against.
 
-:func:`compile_plan` hoists all of that to compile time:
+Compilation hoists everything value-independent out of the loop:
 
 * each segment becomes a prebound step object — kernel, aux, slice
   bounds and numeric engine resolved once, no type tests on the hot path;
-* one simulated :class:`KernelReport` per segment is *frozen* at compile
-  time (guarded by the kernels' ``pure_report`` contract) and re-merged
-  cheaply per solve;
+* simulated reports are frozen per RHS width by one probe routine
+  (:meth:`CompiledPlan._probe`) that runs the kernels' reporting path on
+  throwaway buffers *before* the steps touch the caller's data, so the
+  first solve at a width is bit-identical to every later one.  Freezing
+  is guarded by the kernels' ``pure_report`` contract; a segment whose
+  kernel lacks it compiles to a step that rebuilds its report on every
+  call;
 * work/scratch buffers come from a per-plan :class:`_ArenaPool`, keyed
   by ``(dtype, n_rhs)`` and safe under the serve thread pool, so warm
   solves allocate nothing but the result array they hand back;
@@ -30,14 +38,13 @@ report is a pure function of ``(aux, device, n_rhs)``.
   ``solve_numeric`` runs unchanged.  With SciPy absent everything still
   works on the kernel path.
 
-Observability is preserved by construction: with an active
-:class:`repro.obs.Observability` the compiled steps run inside the same
-per-segment spans the plan path emits, with identical profile rows and
-live traffic counters — the per-segment simulated reports are read from
-the frozen captures (valid under the ``pure_report`` contract) instead
-of being rebuilt, so a traced warm solve keeps the compiled numerics
-and pays only for the instrumentation itself.  The disabled-obs check
-remains a single thread-local lookup.
+Observability rides on the loop's ``step_cb`` hook: with an active
+:class:`repro.obs.Observability` each step is timed, and the
+per-segment spans, profile rows, kernel-launch counters and live
+Tables 1-2 traffic are emitted from rows precomputed once per RHS width
+(:meth:`CompiledPlan._obs_static`).  The sharded executor uses the same
+hook with device-tagged telemetry.  The disabled-obs check remains a
+single thread-local lookup.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import numpy as np
 
 from repro.errors import ShapeMismatchError
 from repro.gpu.device import DeviceModel
-from repro.gpu.report import KernelReport, SolveReport, merge_reports
+from repro.gpu.report import KernelReport, SolveReport
 from repro.kernels.base import PreparedLower, solve_dtype
 from repro.core.plan import ExecutionPlan, TriSegment
 from repro.obs import runtime as obs_runtime
@@ -282,27 +289,20 @@ class _TriStep:
     # -- hot path ----------------------------------------------------- #
     def run(self, work: np.ndarray, out: np.ndarray,
             scratch: np.ndarray | None) -> None:
+        """Solve this segment of ``work`` (1-D, or 2-D for multi-RHS)
+        into ``out``; returns None (the report is frozen)."""
         lo, hi = self.lo, self.hi
         if self.try_engine and scratch is not None:
             engine = self._engine_for(out.dtype)
             if engine is not None:
                 engine.solve_into(work[lo:hi], out[lo:hi], scratch[lo:hi])
                 return
-        out[lo:hi] = self.kernel.solve_numeric(
-            self.aux, work[lo:hi], self.device
+        kernel = self.kernel
+        numeric = (
+            kernel.solve_numeric if work.ndim == 1
+            else kernel.solve_numeric_multi
         )
-
-    def run_multi(self, work: np.ndarray, out: np.ndarray,
-                  scratch: np.ndarray | None) -> None:
-        lo, hi = self.lo, self.hi
-        if self.try_engine and scratch is not None:
-            engine = self._engine_for(out.dtype)
-            if engine is not None:
-                engine.solve_into(work[lo:hi], out[lo:hi], scratch[lo:hi])
-                return
-        out[lo:hi] = self.kernel.solve_numeric_multi(
-            self.aux, work[lo:hi], self.device
-        )
+        out[lo:hi] = numeric(self.aux, work[lo:hi], self.device)
 
 
 class _SpMVStep:
@@ -319,17 +319,46 @@ class _SpMVStep:
         self.kernel = seg.kernel
 
     def run(self, work, out, scratch) -> None:
-        self.kernel.run_numeric(
+        kernel = self.kernel
+        numeric = (
+            kernel.run_numeric if work.ndim == 1 else kernel.run_numeric_multi
+        )
+        numeric(
             self.matrix,
             out[self.col_lo:self.col_hi],
             work[self.row_lo:self.row_hi],
         )
 
-    def run_multi(self, work, out, scratch) -> None:
-        self.kernel.run_numeric_multi(
-            self.matrix,
-            out[self.col_lo:self.col_hi],
-            work[self.row_lo:self.row_hi],
+
+class _ReportingStep:
+    """A segment whose kernel does not declare ``pure_report``.
+
+    Its simulated report may depend on the right-hand-side values, so
+    nothing is frozen: every call runs the kernel's reporting entry
+    point and returns the report it builds.
+    """
+
+    __slots__ = ("seg", "device")
+
+    def __init__(self, seg, device: DeviceModel) -> None:
+        self.seg = seg
+        self.device = device
+
+    def run(self, work, out, scratch) -> KernelReport:
+        seg = self.seg
+        kernel = seg.kernel
+        multi = work.ndim == 2
+        if isinstance(seg, TriSegment):
+            solve = kernel.solve_multi if multi else kernel.solve
+            xs, rep = solve(seg.aux, work[seg.lo:seg.hi], self.device)
+            out[seg.lo:seg.hi] = xs
+            return rep
+        run = kernel.run_multi if multi else kernel.run
+        return run(
+            seg.matrix,
+            out[seg.col_lo:seg.col_hi],
+            work[seg.row_lo:seg.row_hi],
+            self.device,
         )
 
 
@@ -419,12 +448,11 @@ class CompiledPlan:
 
     Built via :func:`compile_plan` (or lazily by
     :meth:`repro.PreparedSolve.compile`).  ``solve``/``solve_multi``
-    return exactly what the plan's own methods return — same solution,
-    same dtype promotion, same simulated :class:`SolveReport` — but the
-    warm path does no per-segment dispatch, no report construction and
-    no work-buffer allocation.  Plans containing kernels that do not
-    declare ``pure_report`` simply delegate to the plan (correct, just
-    not compiled).
+    return what the plan's reference methods return — same solution to
+    roundoff, same dtype promotion, same simulated :class:`SolveReport` —
+    but the warm path does no per-segment dispatch, no report
+    construction for ``pure_report`` kernels and no work-buffer
+    allocation.  ``pure`` is True when every segment's report is frozen.
     """
 
     def __init__(self, plan: ExecutionPlan, device: DeviceModel, *,
@@ -438,25 +466,11 @@ class CompiledPlan:
         self.pure = all(
             getattr(seg.kernel, "pure_report", False) for seg in plan.segments
         )
-        self._dtype_cache: dict = {}
-        self._multi_frozen: dict[int, tuple[list[KernelReport], SolveReport]] = {}
-        self._multi_lock = threading.Lock()
-        #: instrumentation constants per frozen capture ("s" or RHS width)
-        self._obs_cache: dict = {}
-        if not self.pure:
-            self._steps = []
-            self._frozen = []
-            self._merged = None
-            self._pool = None
-            return
+        self._order = tuple(range(len(plan.segments)))
         if share_from is not None:
             self._init_shared(share_from)
             return
-        self._steps = [
-            _TriStep(seg, device, try_engine=True)
-            if isinstance(seg, TriSegment) else _SpMVStep(seg)
-            for seg in plan.segments
-        ]
+        self._steps = [self._step(seg) for seg in plan.segments]
         # Triangular segments tiling [0, n) exactly means every output
         # element is written before it is read — no zero-fill needed.
         spans = sorted((s.lo, s.hi) for s in plan.tri_segments)
@@ -475,100 +489,67 @@ class CompiledPlan:
         self._pool = _ArenaPool(
             self.n, self._scratch_dtype, with_out=self.perm is not None
         )
+        self._dtype_cache: dict = {}
+        #: RHS width (0 = 1-D) -> (per-segment reports, merged report)
+        self._frozen: dict[int, tuple[list[KernelReport], SolveReport]] = {}
+        self._frozen_lock = threading.Lock()
+        #: instrumentation constants per RHS width (see _obs_static)
+        self._obs_cache: dict = {}
         # Frozen reports are pure functions of segment structure +
-        # device, so a caller that already holds them (the plan store's
-        # load path) can inject them and skip the capture probe — the
+        # device, so a caller that already holds the 1-D ones (the plan
+        # store's load path) can inject them and skip that probe — the
         # same sharing `_init_shared` does between values overlays.
         if frozen is not None and len(frozen) == 2 \
                 and len(frozen[0]) == len(plan.segments):
-            self._frozen, self._merged = frozen
+            self._frozen[0] = tuple(frozen)
         else:
-            self._frozen, self._merged = self._capture()
+            self._frozen_for(0)
+
+    def _step(self, seg, template=None):
+        if not getattr(seg.kernel, "pure_report", False):
+            return _ReportingStep(seg, self.device)
+        if isinstance(seg, TriSegment):
+            return _TriStep(seg, self.device, try_engine=True, template=template)
+        return _SpMVStep(seg)
 
     def _init_shared(self, tmpl: "CompiledPlan") -> None:
         """Compile as a values overlay of a pattern template.
 
         Everything value-independent is shared outright: the frozen
-        reports (pure functions of segment structure + device), the
-        dtype-promotion memo, the multi-RHS freeze dict and its lock,
+        reports per width (pure functions of segment structure +
+        device), the instrumentation rows, the dtype-promotion memo,
         and — the big one — the arena pool, so all overlays of one
         pattern draw scratch buffers from a single bounded free-list.
         Only the step objects are rebuilt, each aimed at this plan's
         value arrays and inheriting its template step's engine decision.
         """
-        if not tmpl.pure:
-            raise ValueError("shared compilation requires a pure template")
         if (
             tmpl.n != self.n
             or len(tmpl._steps) != len(self.plan.segments)
             or tmpl.method != self.method
         ):
             raise ValueError("template plan structure does not match")
-        self._dtype_cache = tmpl._dtype_cache
-        self._multi_frozen = tmpl._multi_frozen
-        self._multi_lock = tmpl._multi_lock
         steps = []
         for seg, tstep in zip(self.plan.segments, tmpl._steps):
-            if isinstance(seg, TriSegment):
-                if not isinstance(tstep, _TriStep):
-                    raise ValueError("template segment kinds do not match")
-                steps.append(
-                    _TriStep(seg, self.device, try_engine=True, template=tstep)
-                )
-            else:
-                if isinstance(tstep, _TriStep):
-                    raise ValueError("template segment kinds do not match")
-                steps.append(_SpMVStep(seg))
+            step = self._step(
+                seg, tstep if isinstance(tstep, _TriStep) else None
+            )
+            if type(step) is not type(tstep):
+                raise ValueError("template segment kinds do not match")
+            steps.append(step)
         self._steps = steps
         self._needs_zero = tmpl._needs_zero
         self._mat_dtype = tmpl._mat_dtype
         self._pool = tmpl._pool
-        # no _capture() probe: the frozen reports depend only on the
-        # segment structure, device and value bytes — all pinned by the
-        # pattern-level cache key
+        self._dtype_cache = tmpl._dtype_cache
         self._frozen = tmpl._frozen
-        self._merged = tmpl._merged
+        self._frozen_lock = tmpl._frozen_lock
+        self._obs_cache = tmpl._obs_cache
 
-    # -- compile-time capture ----------------------------------------- #
     def _scratch_dtype(self, work_dtype):
         if self._mat_dtype is None:
             return None
         return solve_dtype(self._mat_dtype, work_dtype)
-
-    def _capture(self) -> tuple[list[KernelReport], SolveReport]:
-        """One probe execution freezing the per-segment reports.
-
-        Safe because every kernel in the plan declared ``pure_report``:
-        the simulated report depends only on ``(aux, device, n_rhs)``.
-        """
-        work = np.linspace(0.5, 1.5, self.n)
-        out = np.zeros(self.n)
-        reports = [
-            self.plan._run_segment(seg, work, out, self.device, False)
-            for seg in self.plan.segments
-        ]
-        merged = merge_reports(
-            self.method,
-            reports,
-            n_tri=self.plan.n_tri_segments,
-            n_spmv=self.plan.n_spmv_segments,
-        )
-        return reports, merged
-
-    def _capture_multi(self, B_work: np.ndarray, X: np.ndarray):
-        """First solve at a new RHS width: run through the kernels'
-        reporting path once, freeze the per-k reports for every later
-        solve of the same width."""
-        reports = [
-            self.plan._run_segment(seg, B_work, X, self.device, True)
-            for seg in self.plan.segments
-        ]
-        merged = merge_reports(
-            self.method, reports, n_rhs=B_work.shape[1], fused=True
-        )
-        with self._multi_lock:
-            self._multi_frozen.setdefault(B_work.shape[1], (reports, merged))
-        return merged
 
     def _work_dtype(self, b_dtype) -> np.dtype:
         dt = self._dtype_cache.get(b_dtype)
@@ -577,83 +558,151 @@ class CompiledPlan:
             self._dtype_cache[b_dtype] = dt
         return dt
 
-    def _fresh_report(self, merged: SolveReport) -> SolveReport:
-        return SolveReport(
-            method=merged.method,
-            time_s=merged.time_s,
-            flops=merged.flops,
-            launches=merged.launches,
-            bytes_moved=merged.bytes_moved,
-            kernels=list(merged.kernels),
-            detail=dict(merged.detail),
-        )
+    # -- frozen reports ------------------------------------------------ #
+    def _probe(self, k: int) -> tuple[list[KernelReport], SolveReport]:
+        """Run the kernels' reporting path once at RHS width ``k`` (0 =
+        1-D) on throwaway buffers and return the per-segment and merged
+        reports.  Deterministic probe data; only the reports are kept."""
+        n = self.n
+        shape = (n,) if k == 0 else (n, k)
+        work = np.linspace(0.5, 1.5, n * max(k, 1)).reshape(shape)
+        out = np.zeros(shape)
+        plan = self.plan
+        reports = [
+            plan._run_segment(seg, work, out, self.device, k > 0)
+            for seg in plan.segments
+        ]
+        return reports, plan._merge_reports(reports, k)
 
-    # -- hot paths ----------------------------------------------------- #
-    def _obs_static(self, key, frozen) -> tuple:
-        """Instrumentation constants for one frozen capture list.
+    def _frozen_for(self, k: int) -> tuple[list[KernelReport], SolveReport]:
+        """The frozen reports for RHS width ``k``, probing on first use."""
+        frozen = self._frozen.get(k)
+        if frozen is None:
+            frozen = self._probe(k)
+            with self._frozen_lock:
+                frozen = self._frozen.setdefault(k, frozen)
+        return frozen
 
-        Everything a traced compiled solve emits except the wall times —
-        span attributes, profile-row templates, per-kernel launch
-        totals, and the live Tables 1-2 traffic sums — is a pure
-        function of (segment layout, frozen reports), so it is computed
-        once per capture and replayed on every warm observed solve.
+    # -- the step loop ------------------------------------------------- #
+    def _execute(self, B: np.ndarray, order=None, step_cb=None):
+        """The one step loop behind every entry point.
+
+        ``B`` is a validated 1-D vector or ``(n, k)`` block; ``order`` a
+        validated permutation of segment indices (default: plan order);
+        ``step_cb(idx, t0_s, t1_s)``, when given, is called after each
+        step with its wall-clock bounds.  Returns the solution in the
+        caller's row order and ``(reports, merged)`` for this width —
+        the frozen pair, or for plans with non-pure steps a fresh pair
+        with their live reports spliced in.
         """
-        cached = self._obs_cache.get(key)
+        k = 0 if B.ndim == 1 else B.shape[1]
+        # Before the steps touch the caller's data: a new width probes
+        # on throwaway buffers, never on this solve's.
+        frozen = self._frozen_for(k)
+        dtype = self._work_dtype(B.dtype)
+        arena = self._pool.acquire(dtype, k)
+        steps = self._steps
+        live = [None] * len(steps)
+        try:
+            work = arena.work
+            perm = self.perm
+            if perm is None:
+                np.copyto(work, B, casting="unsafe")
+            elif B.dtype == dtype:
+                np.take(B, perm, axis=0, out=work)
+            else:
+                work[...] = B[perm]
+            result = np.empty(work.shape, dtype=dtype)
+            out = result if perm is None else arena.out
+            if self._needs_zero:
+                out.fill(0)
+            scratch = arena.scratch
+            if order is None:
+                order = self._order
+            if step_cb is None:
+                for idx in order:
+                    live[idx] = steps[idx].run(work, out, scratch)
+            else:
+                for idx in order:
+                    t0 = monotonic()
+                    live[idx] = steps[idx].run(work, out, scratch)
+                    step_cb(idx, t0, monotonic())
+            if perm is not None:
+                result[perm] = out
+        finally:
+            self._pool.release(arena)
+        if not self.pure:
+            reports = [
+                rep if rep is not None else f
+                for rep, f in zip(live, frozen[0])
+            ]
+            frozen = reports, self.plan._merge_reports(reports, k)
+        return result, frozen
+
+    # -- instrumentation ----------------------------------------------- #
+    def _obs_static(self, k: int, reports: list) -> tuple:
+        """Instrumentation constants for one solve at RHS width ``k``.
+
+        Everything a traced solve emits except the wall times — span
+        attributes, profile-row templates, per-kernel launch totals, and
+        the live Tables 1-2 traffic sums — is a pure function of
+        (segment layout, reports), so with frozen reports it is computed
+        once per width and replayed on every warm observed solve.
+        """
+        cached = self._obs_cache.get(k) if self.pure else None
         if cached is not None:
             return cached
         rows: list[tuple] = []
         launch_totals: dict[str, int] = {}
         live_b = 0
         live_x = 0
-        for idx, (meta, rep) in enumerate(
-            zip(self.plan._segment_meta(), frozen)
-        ):
-            span_name, kind, seg_rows, cols, nnz, kname, d_b, d_x = meta
+        for idx, (seg, rep) in enumerate(zip(self.plan.segments, reports)):
+            kname = seg.kernel.name
+            if isinstance(seg, TriSegment):
+                kind = "tri"
+                seg_rows = cols = f"{seg.lo}:{seg.hi}"
+            else:
+                kind = "spmv"
+                seg_rows = f"{seg.row_lo}:{seg.row_hi}"
+                cols = f"{seg.col_lo}:{seg.col_hi}"
+                live_x += seg.n_cols
+            live_b += seg.n_rows
             attrs = {"index": idx, "kernel": kname, "rows": seg_rows,
-                     "nnz": nnz, "sim_time_s": rep.time_s}
+                     "nnz": seg.nnz, "sim_time_s": rep.time_s}
             tmpl = {"index": idx, "kind": kind, "kernel": kname,
-                    "rows": seg_rows, "cols": cols, "nnz": nnz,
+                    "rows": seg_rows, "cols": cols, "nnz": seg.nnz,
                     "sim_time_s": rep.time_s, "wall_time_s": 0.0,
                     "launches": rep.launches}
-            rows.append((span_name, attrs, tmpl))
+            rows.append((f"segment.{kind}", attrs, tmpl))
             launch_totals[kname] = launch_totals.get(kname, 0) + rep.launches
-            live_b += d_b
-            live_x += d_x
         cached = (rows, launch_totals, live_b, live_x)
-        self._obs_cache[key] = cached
+        if self.pure:
+            self._obs_cache[k] = cached
         return cached
 
-    def _run_steps_observed(
-        self, obs, work, out, scratch, key, frozen, multi: bool
-    ) -> list[dict]:
-        """The compiled step loop under an active observability bundle.
-
-        Emits exactly what ``plan._execute_segments`` emits — one
-        ``segment.*`` span per step, kernel-launch counters, profile
-        rows, and the live Tables 1-2 traffic accounting — but keeps the
-        compiled numerics.  The per-segment simulated reports come from
-        the frozen captures; the ``pure_report`` contract guarantees
-        they equal what a live reporting pass would rebuild.
-
-        Segment spans are leaves, so they skip the context-manager
-        stack machinery: parent/trace resolved once per solve, spans
-        built from the precomputed attrs (shared read-only dicts) with
-        two clock reads around each step, and handed to the tracer in
-        one batched append.
-        """
-        static_rows, launch_totals, live_b, live_x = self._obs_static(key, frozen)
+    def _solve_reported(self, B: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+        """Plan-order solve with a fresh report, observed when a bundle
+        is active: one ``segment.*`` leaf span per step, kernel-launch
+        counters, the per-segment profile rows and the live Tables 1-2
+        traffic accounting."""
+        obs = obs_runtime.active()
+        if obs is None:
+            X, (_, merged) = self._execute(B)
+            return X, merged.scaled(1.0)
+        times: list[tuple[float, float]] = []
+        X, (reports, merged) = self._execute(
+            B, step_cb=lambda idx, t0, t1: times.append((t0, t1))
+        )
+        k = 0 if B.ndim == 1 else B.shape[1]
+        rows, launch_totals, live_b, live_x = self._obs_static(k, reports)
+        # Segment spans are leaves: parent/trace resolved once per solve
+        # and handed to the tracer in one batched append.
         tracer = obs.tracer
         tid, pid, thread = tracer.leaf_context()
         next_id = tracer.next_span_id
-        profile: list[dict] = []
         leaves: list[Span] = []
-        for step, (span_name, attrs, tmpl) in zip(self._steps, static_rows):
-            t0 = monotonic()
-            if multi:
-                step.run_multi(work, out, scratch)
-            else:
-                step.run(work, out, scratch)
-            t1 = monotonic()
+        profile: list[dict] = []
+        for (span_name, attrs, tmpl), (t0, t1) in zip(rows, times):
             leaves.append(
                 Span(span_name, tid, next_id(), pid, t0, t1, thread, attrs)
             )
@@ -665,61 +714,37 @@ class CompiledPlan:
         for kname, n in launch_totals.items():
             inc(n, kernel=kname, device="0")
         obs_runtime.record_solve_traffic(obs, self.plan, live_b, live_x)
-        return profile
+        report = merged.scaled(1.0)
+        report.profile = profile
+        return X, report
 
-    def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        """One SpTRSV; drop-in for ``plan.solve(b, device)``."""
-        if not self.pure:
-            return self.plan.solve(b, self.device)
-        obs = obs_runtime.active()
+    # -- entry points -------------------------------------------------- #
+    def _vector(self, b) -> np.ndarray:
         b = np.asarray(b)
         if b.shape != (self.n,):
             raise ShapeMismatchError(f"b must have shape ({self.n},)")
-        dtype = self._work_dtype(b.dtype)
-        arena = self._pool.acquire(dtype, 0)
-        try:
-            work = arena.work
-            perm = self.perm
-            if perm is not None:
-                if b.dtype == dtype:
-                    np.take(b, perm, out=work)
-                else:
-                    work[...] = b[perm]
-            else:
-                np.copyto(work, b, casting="unsafe")
-            result = np.empty(self.n, dtype=dtype)
-            out = result if perm is None else arena.out
-            if self._needs_zero:
-                out.fill(0)
-            scratch = arena.scratch
-            if obs is None:
-                profile = None
-                for step in self._steps:
-                    step.run(work, out, scratch)
-            else:
-                profile = self._run_steps_observed(
-                    obs, work, out, scratch, "s", self._frozen, multi=False
-                )
-            if perm is not None:
-                result[perm] = out
-        finally:
-            self._pool.release(arena)
-        report = self._fresh_report(self._merged)
-        if profile is not None:
-            report.profile = profile
-        return result, report
+        return b
 
-    # -- ordered execution (multi-device schedules) -------------------- #
-    def _check_order(self, order) -> None:
-        if not self.pure:
+    def _block(self, B) -> np.ndarray:
+        B = np.asarray(B)
+        if B.ndim != 2 or B.shape[0] != self.n:
+            raise ShapeMismatchError(f"B must have shape ({self.n}, k)")
+        return B
+
+    def _check_order(self, order):
+        if sorted(order) != list(self._order):
             raise ValueError(
-                "plan contains kernels without pure_report; ordered "
-                "execution must go through the plan path"
+                f"order must be a permutation of range({len(self._order)})"
             )
-        if sorted(order) != list(range(len(self._steps))):
-            raise ValueError(
-                f"order must be a permutation of range({len(self._steps)})"
-            )
+        return order
+
+    def solve(self, b: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+        """One SpTRSV; drop-in for ``plan.solve(b, device)``."""
+        return self._solve_reported(self._vector(b))
+
+    def solve_multi(self, B: np.ndarray) -> tuple[np.ndarray, SolveReport]:
+        """Fused multi-RHS solve; drop-in for ``plan.solve_multi``."""
+        return self._solve_reported(self._block(B))
 
     def solve_ordered(self, b: np.ndarray, order, step_cb=None) -> np.ndarray:
         """Run the compiled steps in ``order`` (a permutation of segment
@@ -730,151 +755,18 @@ class CompiledPlan:
         same floating-point operations on the same operands as
         :meth:`solve`, so the result is bit-identical to the
         single-device compiled path.  No report is built — a sharded
-        schedule times itself.
-
-        ``step_cb(idx, t0_s, t1_s)``, when given, is called after each
-        step with its segment index and wall-clock bounds — how the
-        sharded executor emits per-segment spans without giving up the
-        compiled numerics.
+        schedule times itself.  ``step_cb`` is the loop's per-step hook
+        (see :meth:`_execute`), how the sharded executor emits
+        per-segment spans without giving up the compiled numerics.
         """
-        self._check_order(order)
-        b = np.asarray(b)
-        if b.shape != (self.n,):
-            raise ShapeMismatchError(f"b must have shape ({self.n},)")
-        dtype = self._work_dtype(b.dtype)
-        arena = self._pool.acquire(dtype, 0)
-        try:
-            work = arena.work
-            perm = self.perm
-            if perm is not None:
-                if b.dtype == dtype:
-                    np.take(b, perm, out=work)
-                else:
-                    work[...] = b[perm]
-            else:
-                np.copyto(work, b, casting="unsafe")
-            result = np.empty(self.n, dtype=dtype)
-            out = result if perm is None else arena.out
-            if self._needs_zero:
-                out.fill(0)
-            scratch = arena.scratch
-            steps = self._steps
-            if step_cb is None:
-                for idx in order:
-                    steps[idx].run(work, out, scratch)
-            else:
-                for idx in order:
-                    t0 = monotonic()
-                    steps[idx].run(work, out, scratch)
-                    step_cb(idx, t0, monotonic())
-            if perm is not None:
-                result[perm] = out
-        finally:
-            self._pool.release(arena)
-        return result
+        B = self._vector(b)
+        return self._execute(B, self._check_order(order), step_cb)[0]
 
     def solve_multi_ordered(self, B: np.ndarray, order, step_cb=None) -> np.ndarray:
-        """Multi-RHS :meth:`solve_ordered`; bit-identical to the frozen
-        multi-RHS path of :meth:`solve_multi` for topological orders."""
-        self._check_order(order)
-        B = np.asarray(B)
-        if B.ndim != 2 or B.shape[0] != self.n:
-            raise ShapeMismatchError(f"B must have shape ({self.n}, k)")
-        k = B.shape[1]
-        dtype = self._work_dtype(B.dtype)
-        arena = self._pool.acquire(dtype, k)
-        try:
-            work = arena.work
-            perm = self.perm
-            if perm is not None:
-                if B.dtype == dtype:
-                    np.take(B, perm, axis=0, out=work)
-                else:
-                    work[...] = B[perm]
-            else:
-                np.copyto(work, B, casting="unsafe")
-            result = np.empty((self.n, k), dtype=dtype)
-            out = result if perm is None else arena.out
-            if self._needs_zero:
-                out.fill(0)
-            scratch = arena.scratch
-            steps = self._steps
-            if step_cb is None:
-                for idx in order:
-                    steps[idx].run_multi(work, out, scratch)
-            else:
-                for idx in order:
-                    t0 = monotonic()
-                    steps[idx].run_multi(work, out, scratch)
-                    step_cb(idx, t0, monotonic())
-            if perm is not None:
-                result[perm] = out
-        finally:
-            self._pool.release(arena)
-        return result
-
-    def solve_multi(self, B: np.ndarray) -> tuple[np.ndarray, SolveReport]:
-        """Fused multi-RHS solve; drop-in for ``plan.solve_multi``."""
-        if not self.pure:
-            return self.plan.solve_multi(B, self.device)
-        obs = obs_runtime.active()
-        B = np.asarray(B)
-        if B.ndim != 2 or B.shape[0] != self.n:
-            raise ShapeMismatchError(f"B must have shape ({self.n}, k)")
-        k = B.shape[1]
-        dtype = self._work_dtype(B.dtype)
-        arena = self._pool.acquire(dtype, k)
-        try:
-            work = arena.work
-            perm = self.perm
-            if perm is not None:
-                if B.dtype == dtype:
-                    np.take(B, perm, axis=0, out=work)
-                else:
-                    work[...] = B[perm]
-            else:
-                np.copyto(work, B, casting="unsafe")
-            result = np.empty((self.n, k), dtype=dtype)
-            out = result if perm is None else arena.out
-            profile = None
-            frozen = self._multi_frozen.get(k)
-            if frozen is None:
-                # First solve at this RHS width: run the kernels'
-                # reporting path once — instrumented when observed, so
-                # the spans/profile of a traced first solve are intact —
-                # and freeze the per-segment reports for later solves.
-                out.fill(0)
-                if obs is None:
-                    merged = self._fresh_report(self._capture_multi(work, out))
-                else:
-                    reports, profile = self.plan._execute_segments(
-                        work, out, self.device, multi=True
-                    )
-                    raw = merge_reports(
-                        self.method, reports, n_rhs=k, fused=True
-                    )
-                    with self._multi_lock:
-                        self._multi_frozen.setdefault(k, (reports, raw))
-                    merged = self._fresh_report(raw)
-            else:
-                if self._needs_zero:
-                    out.fill(0)
-                scratch = arena.scratch
-                if obs is None:
-                    for step in self._steps:
-                        step.run_multi(work, out, scratch)
-                else:
-                    profile = self._run_steps_observed(
-                        obs, work, out, scratch, k, frozen[0], multi=True
-                    )
-                merged = self._fresh_report(frozen[1])
-            if perm is not None:
-                result[perm] = out
-        finally:
-            self._pool.release(arena)
-        if profile is not None:
-            merged.profile = profile
-        return result, merged
+        """Multi-RHS :meth:`solve_ordered`; bit-identical to
+        :meth:`solve_multi` for topological orders."""
+        B = self._block(B)
+        return self._execute(B, self._check_order(order), step_cb)[0]
 
 
 def compile_plan(plan: ExecutionPlan, device: DeviceModel, *,
@@ -885,7 +777,8 @@ def compile_plan(plan: ExecutionPlan, device: DeviceModel, *,
     CSC conversion per engine-eligible triangular segment) and is paid
     once — the serve layer compiles at cache-insert time, so every
     cache hit lands on the compiled hot path.  ``frozen`` injects
-    previously captured ``(reports, merged)`` state (e.g. deserialized
-    by :class:`repro.serve.store.PlanStore`), skipping the probe.
+    previously captured 1-D ``(reports, merged)`` state (e.g.
+    deserialized by :class:`repro.serve.store.PlanStore`), skipping that
+    probe.
     """
     return CompiledPlan(plan, device, frozen=frozen)

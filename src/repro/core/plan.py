@@ -11,6 +11,13 @@ Executing the plan in order is exactly Algorithms 4/5/6 unrolled — the
 "loop implementation" the improved data structure of §3.3 is built for.
 The plan also exposes the Tables 1–2 traffic counters measured from the
 actual layout.
+
+Production solves do not run here: :func:`repro.core.executor.compile_plan`
+turns a plan into the one executor every request goes through.
+:meth:`ExecutionPlan.solve` / :meth:`ExecutionPlan.solve_multi` are the
+uninstrumented *reference loop* — every segment through the kernels'
+reporting entry points on fresh buffers — that tests, benchmarks and
+the reproduction experiments compare the executor against.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from repro.gpu.device import DeviceModel
 from repro.gpu.report import KernelReport, SolveReport, merge_reports
 from repro.kernels.base import SpTRSVKernel, solve_dtype
 from repro.kernels.spmv import SpMVKernel
-from repro.obs import runtime as obs_runtime
 
 __all__ = ["TriSegment", "SpMVSegment", "ExecutionPlan"]
 
@@ -101,114 +107,44 @@ class ExecutionPlan:
             device,
         )
 
-    def _execute_segments(
-        self, work, out, device: DeviceModel, multi: bool
-    ) -> tuple[list[KernelReport], list | None]:
-        """Run every segment in order; returns (reports, profile).
+    def _merge_reports(self, reports: list, k: int) -> SolveReport:
+        """One solve's report from its per-segment reports; ``k`` is the
+        RHS width of a fused solve, 0 for a single vector."""
+        if k == 0:
+            return merge_reports(
+                self.method,
+                reports,
+                n_tri=self.n_tri_segments,
+                n_spmv=self.n_spmv_segments,
+            )
+        return merge_reports(self.method, reports, n_rhs=k, fused=True)
 
-        With no active :class:`repro.obs.Observability` this is the bare
-        execution loop (one thread-local lookup of overhead).  With one
-        active, every segment runs inside a span carrying its selected
-        kernel name, per-kernel launch counters are incremented, a
-        per-segment profile table is built, and the live Tables 1-2
-        traffic counters are accumulated segment by segment and
-        cross-checked against the plan-level accounting.
-        """
-        obs = obs_runtime.active()
-        reports: list[KernelReport] = []
-        if obs is None:
-            for seg in self.segments:
-                reports.append(self._run_segment(seg, work, out, device, multi))
-            return reports, None
-        metrics = obs.serve_metrics
-        span = obs.span
-        profile: list[dict] = []
-        live_b = 0
-        live_x = 0
-        launch_totals: dict[str, int] = {}
-        for idx, (seg, meta) in enumerate(
-            zip(self.segments, self._segment_meta())
-        ):
-            span_name, kind, rows, cols, nnz, kname, d_b, d_x = meta
-            with span(span_name, index=idx, kernel=kname) as sp:
-                rep = self._run_segment(seg, work, out, device, multi)
-                sp.set(rows=rows, nnz=nnz, sim_time_s=rep.time_s)
-            live_b += d_b
-            live_x += d_x
-            launch_totals[kname] = launch_totals.get(kname, 0) + rep.launches
-            profile.append({
-                "index": idx,
-                "kind": kind,
-                "kernel": kname,
-                "rows": rows,
-                "cols": cols,
-                "nnz": nnz,
-                "sim_time_s": rep.time_s,
-                "wall_time_s": sp.duration_s,
-                "launches": rep.launches,
-            })
-            reports.append(rep)
-        inc = metrics.kernel_launches.inc
-        for kname, n in launch_totals.items():
-            inc(n, kernel=kname, device="0")
-        obs_runtime.record_solve_traffic(obs, self, live_b, live_x)
-        return reports, profile
-
-    def _segment_meta(self) -> list[tuple]:
-        """Static per-segment instrumentation fields, computed once.
-
-        Everything here — span name, row/col range strings, nnz, kernel
-        name, and the per-segment live-traffic deltas — is a pure
-        function of the frozen segment layout, so warm solves must not
-        re-derive it per execution.
-        """
-        meta = getattr(self, "_seg_meta", None)
-        if meta is None or len(meta) != len(self.segments):
-            meta = []
-            for seg in self.segments:
-                if isinstance(seg, TriSegment):
-                    rows = f"{seg.lo}:{seg.hi}"
-                    meta.append((
-                        "segment.tri", "tri", rows, rows,
-                        seg.nnz, seg.kernel.name, seg.n_rows, 0,
-                    ))
-                else:
-                    meta.append((
-                        "segment.spmv", "spmv",
-                        f"{seg.row_lo}:{seg.row_hi}",
-                        f"{seg.col_lo}:{seg.col_hi}",
-                        seg.nnz, seg.kernel.name, seg.n_rows, seg.n_cols,
-                    ))
-            self._seg_meta = meta
-        return meta
+    def _solve_reference(self, B: np.ndarray, device: DeviceModel):
+        """Every segment in plan order through the kernels' reporting
+        entry points, on freshly allocated buffers."""
+        # Work buffers must be floating even for an integer b, or every
+        # triangular division below silently truncates.
+        work = (B[self.perm] if self.perm is not None else B).astype(
+            solve_dtype(B), copy=True
+        )
+        X = np.zeros_like(work)
+        multi = B.ndim == 2
+        reports = [
+            self._run_segment(seg, work, X, device, multi)
+            for seg in self.segments
+        ]
+        if self.perm is not None:
+            out = np.empty_like(X)
+            out[self.perm] = X
+            X = out
+        return X, self._merge_reports(reports, B.shape[1] if multi else 0)
 
     def solve(self, b: np.ndarray, device: DeviceModel) -> tuple[np.ndarray, SolveReport]:
         """Run the plan; returns the solution in *original* row order."""
         b = np.asarray(b)
         if b.shape != (self.n,):
             raise ShapeMismatchError(f"b must have shape ({self.n},)")
-        # Work buffers must be floating even for an integer b, or every
-        # triangular division below silently truncates.
-        dtype = solve_dtype(b)
-        work_b = (b[self.perm] if self.perm is not None else b).astype(
-            dtype, copy=True
-        )
-        x = np.zeros(self.n, dtype=dtype)
-        reports, profile = self._execute_segments(work_b, x, device, multi=False)
-        if self.perm is not None:
-            out = np.empty_like(x)
-            out[self.perm] = x
-        else:
-            out = x
-        report = merge_reports(
-            self.method,
-            reports,
-            n_tri=self.n_tri_segments,
-            n_spmv=self.n_spmv_segments,
-        )
-        if profile is not None:
-            report.profile = profile
-        return out, report
+        return self._solve_reference(b, device)
 
     def solve_multi(
         self, B: np.ndarray, device: DeviceModel
@@ -219,23 +155,7 @@ class ExecutionPlan:
         B = np.asarray(B)
         if B.ndim != 2 or B.shape[0] != self.n:
             raise ShapeMismatchError(f"B must have shape ({self.n}, k)")
-        dtype = solve_dtype(B)
-        work_B = (B[self.perm] if self.perm is not None else B).astype(
-            dtype, copy=True
-        )
-        X = np.zeros_like(work_B)
-        reports, profile = self._execute_segments(work_B, X, device, multi=True)
-        if self.perm is not None:
-            out = np.empty_like(X)
-            out[self.perm] = X
-        else:
-            out = X
-        report = merge_reports(
-            self.method, reports, n_rhs=B.shape[1], fused=True
-        )
-        if profile is not None:
-            report.profile = profile
-        return out, report
+        return self._solve_reference(B, device)
 
     # ------------------------------------------------------------------ #
     # Structure queries

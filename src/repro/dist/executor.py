@@ -3,24 +3,21 @@
 Numerics and timing are deliberately decoupled:
 
 * **Numerics** run the schedule's topological segment order through the
-  single-device executor — :meth:`CompiledPlan.solve_ordered` when the
-  plan compiled pure (the hot path), otherwise the plan's own segments
-  in schedule order.  Either way each floating-point operation sees the
-  same operands in the same per-interval order as the single-device
-  compiled path, so the solution is *bit-identical* for every device
-  count.
+  single-device executor, :meth:`CompiledPlan.solve_ordered`.  Each
+  floating-point operation sees the same operands in the same
+  per-interval order as the single-device compiled path, so the
+  solution is *bit-identical* for every device count.
 * **Timing** comes from the schedule's simulated per-device queues and
-  communication events; per-RHS-width timelines are scheduled once and
+  communication events, priced from the compiled plan's frozen
+  per-segment reports; per-RHS-width timelines are scheduled once and
   cached.
 
 With an active :class:`repro.obs.Observability` the executor keeps the
-compiled numerics and instruments the ordered step loop via the
-``step_cb`` hook of :meth:`CompiledPlan.solve_ordered`: per-segment
-spans carry the executing device, the live traffic counters are
-accumulated *per device* (the device-tagged families of PR 5), and the
-schedule's occupancy / critical path / transfer volume are exported as
-gauges.  Only plans that did not compile pure fall back to the
-instrumented plan path.
+compiled numerics and instruments the ordered step loop via its
+``step_cb`` hook: per-segment spans carry the executing device, the live
+traffic counters are accumulated *per device* (the device-tagged metric
+families), and the schedule's occupancy / critical path / transfer
+volume are exported as gauges.
 """
 
 from __future__ import annotations
@@ -43,9 +40,7 @@ from repro.dist.schedule import (
 from repro.errors import ShapeMismatchError
 from repro.gpu.device import DeviceModel
 from repro.gpu.report import SolveReport, merge_reports
-from repro.kernels.base import solve_dtype
 from repro.obs import runtime as obs_runtime
-from repro.obs.clock import monotonic
 from repro.obs.trace import Span
 
 __all__ = ["DistributedPlan"]
@@ -128,7 +123,7 @@ class DistributedPlan:
                 self._multi_lock = threading.Lock()
         else:
             self.dag = build_segment_dag(self.plan)
-            self._reports = self._probe_reports(k=0)
+            self._reports = self.compiled._frozen_for(0)[0]
             # A persisted schedule (repro.serve.store) is injected only
             # when it provably describes this very DAG shape; anything
             # else silently falls back to recomputing — a wrong schedule
@@ -168,7 +163,7 @@ class DistributedPlan:
         sync: str = "p2p",
     ) -> "DistributedPlan":
         """Build from a :class:`repro.PreparedSolve`, reusing (or
-        quietly building) its compiled executor for the numerics.
+        building) its compiled executor for the numerics.
 
         With ``template`` (a DistributedPlan over the same segment
         structure — the serve layer's pattern-level instance) the DAG,
@@ -181,14 +176,12 @@ class DistributedPlan:
         ``scheduler`` names a registered placement policy and ``sync``
         the dependency-resolution mode (see :mod:`repro.dist.schedule`).
         """
-        compile_quiet = getattr(prepared, "_compile_quiet", None)
-        compiled = compile_quiet() if callable(compile_quiet) else None
         return cls(
             prepared.plan,
             prepared.device,
             n_devices,
             interconnect=interconnect,
-            compiled=compiled,
+            compiled=prepared.compile(),
             template=template,
             schedule=schedule,
             scheduler=scheduler,
@@ -200,7 +193,7 @@ class DistributedPlan:
         source: ExecutionPlan,
         base: CompiledPlan | None,
         template: "DistributedPlan | None" = None,
-    ) -> CompiledPlan | None:
+    ) -> CompiledPlan:
         """Compile the tiled plan, *sharing* the source's compiled
         triangular steps.
 
@@ -212,25 +205,18 @@ class DistributedPlan:
         shares its TriSegment instances) makes the sharded numerics run
         literally the same triangular code paths as the single-device
         compiled plan; the SpMV row slices are bitwise equal by
-        row-locality.  Without a pure base compilation the executor
-        falls back to the (equally deterministic) plan path.
+        row-locality.
         """
-        if base is None or not base.pure:
-            return None
+        if base is None:
+            base = compile_plan(source, self.device)
         if self.plan is source:  # nothing was split
             return base
-        try:
-            tmpl_compiled = template.compiled if template is not None else None
-            if tmpl_compiled is not None and tmpl_compiled.pure:
-                tiled_compiled = CompiledPlan(
-                    self.plan, self.device, share_from=tmpl_compiled
-                )
-            else:
-                tiled_compiled = compile_plan(self.plan, self.device)
-        except Exception:
-            return None
-        if not tiled_compiled.pure:
-            return None
+        if template is not None:
+            tiled_compiled = CompiledPlan(
+                self.plan, self.device, share_from=template.compiled
+            )
+        else:
+            tiled_compiled = compile_plan(self.plan, self.device)
         tri_steps = {
             id(seg): step
             for seg, step in zip(source.segments, base._steps)
@@ -242,23 +228,6 @@ class DistributedPlan:
                 tiled_compiled._steps[i] = step
         return tiled_compiled
 
-    # -- simulated per-segment costs ----------------------------------- #
-    def _probe_reports(self, k: int) -> list:
-        """One probe execution at RHS width ``k`` (0 = single vector),
-        capturing the simulated per-segment reports the scheduler
-        prices.  Deterministic probe data, simulated times only."""
-        n = self.plan.n
-        if k == 0:
-            work = np.linspace(0.5, 1.5, n)
-            out = np.zeros(n)
-        else:
-            work = np.linspace(0.5, 1.5, n * k).reshape(n, k)
-            out = np.zeros((n, k))
-        return [
-            self.plan._run_segment(seg, work, out, self.device, k > 0)
-            for seg in self.plan.segments
-        ]
-
     def _schedule_for(self, k: int) -> tuple[DistSchedule, list]:
         """The (cached) schedule and segment reports for RHS width ``k``."""
         if k == 0:
@@ -267,7 +236,7 @@ class DistributedPlan:
             cached = self._multi.get(k)
         if cached is not None:
             return cached
-        reports = self._probe_reports(k)
+        reports = self.compiled._frozen_for(k)[0]
         sched = schedule_dag(
             self.dag,
             [r.time_s for r in reports],
@@ -323,16 +292,7 @@ class DistributedPlan:
         if b.shape != (self.plan.n,):
             raise ShapeMismatchError(f"b must have shape ({self.plan.n},)")
         sched, reports = self._schedule_for(0)
-        obs = obs_runtime.active()
-        if self.compiled is not None and self.compiled.pure:
-            if obs is None:
-                x = self.compiled.solve_ordered(b, sched.order)
-            else:
-                x = self._solve_compiled_observed(
-                    b, sched, reports, obs, multi=False
-                )
-        else:
-            x = self._solve_plan_path(b, sched, obs, multi=False)
+        x = self._run(self.compiled.solve_ordered, b, sched, reports)
         return x, self._report(sched, reports)
 
     def solve_multi(self, B: np.ndarray) -> tuple[np.ndarray, SolveReport]:
@@ -342,30 +302,22 @@ class DistributedPlan:
             raise ShapeMismatchError(f"B must have shape ({self.plan.n}, k)")
         k = B.shape[1]
         sched, reports = self._schedule_for(k)
-        obs = obs_runtime.active()
-        if self.compiled is not None and self.compiled.pure:
-            if obs is None:
-                X = self.compiled.solve_multi_ordered(B, sched.order)
-            else:
-                X = self._solve_compiled_observed(
-                    B, sched, reports, obs, multi=True
-                )
-        else:
-            X = self._solve_plan_path(B, sched, obs, multi=True)
+        X = self._run(self.compiled.solve_multi_ordered, B, sched, reports)
         return X, self._report(sched, reports, n_rhs=k, fused=True)
 
-    def _solve_compiled_observed(
-        self, b, sched: DistSchedule, reports: list, obs, *, multi: bool
-    ):
-        """Schedule-ordered compiled execution under an active bundle.
+    def _run(self, solve_ordered, b, sched: DistSchedule, reports: list):
+        """Schedule-ordered compiled execution, observed when a bundle
+        is active.
 
-        Same floating-point operations as the obs-off ordered path —
-        the solution stays bit-identical to the single-device compiled
-        solve — with the per-segment telemetry of the plan path: leaf
-        spans tagged with the executing device, device-tagged kernel
-        launch and live traffic counters, and the schedule gauges.
-        The simulated per-segment reports come from the schedule's
-        (frozen) probe reports rather than a live reporting pass."""
+        Observation keeps the floating-point operations of the obs-off
+        path — the solution stays bit-identical to the single-device
+        compiled solve — and adds the per-segment telemetry: leaf spans
+        tagged with the executing device, device-tagged kernel launch
+        and live traffic counters, and the schedule gauges.  The
+        simulated per-segment reports are the schedule's frozen ones."""
+        obs = obs_runtime.active()
+        if obs is None:
+            return solve_ordered(b, sched.order)
         plan = self.plan
         segments = plan.segments
         assignment = sched.assignment
@@ -395,61 +347,10 @@ class DistributedPlan:
             if not tri:
                 live_x[dev] += seg.n_cols
 
-        if multi:
-            x = self.compiled.solve_multi_ordered(b, sched.order, step_cb)
-        else:
-            x = self.compiled.solve_ordered(b, sched.order, step_cb)
+        x = solve_ordered(b, sched.order, step_cb)
         tracer.record_leaves(leaves)
         inc = obs.serve_metrics.kernel_launches.inc
         for (kname, dev), n in launch_totals.items():
             inc(n, kernel=kname, device=str(dev))
         obs_runtime.record_dist_solve(obs, plan, sched, live_b, live_x)
-        return x
-
-    def _solve_plan_path(self, b, sched: DistSchedule, obs, *, multi: bool):
-        """Schedule-ordered execution through the plan's own segments —
-        the instrumented (and compile-less) path.  Disjoint slices
-        commute and conflicting ones stay in plan-relative order, so
-        this too is bit-identical to in-order execution."""
-        plan = self.plan
-        dtype = solve_dtype(b)
-        work = (b[plan.perm] if plan.perm is not None else b).astype(
-            dtype, copy=True
-        )
-        x = np.zeros_like(work)
-        if obs is None:
-            for idx in sched.order:
-                plan._run_segment(plan.segments[idx], work, x, self.device, multi)
-        else:
-            metrics = obs.serve_metrics
-            live_b = [0] * sched.n_devices
-            live_x = [0] * sched.n_devices
-            for idx in sched.order:
-                seg = plan.segments[idx]
-                dev = sched.assignment[idx]
-                tri = isinstance(seg, TriSegment)
-                t0 = monotonic()
-                with obs.span(
-                    "segment.tri" if tri else "segment.spmv",
-                    index=idx,
-                    kernel=seg.kernel.name,
-                    device=dev,
-                ) as sp:
-                    rep = plan._run_segment(seg, work, x, self.device, multi)
-                    live_b[dev] += seg.n_rows
-                    if not tri:
-                        live_x[dev] += seg.n_cols
-                    sp.set(
-                        nnz=seg.nnz,
-                        sim_time_s=rep.time_s,
-                        wall_time_s=monotonic() - t0,
-                    )
-                metrics.kernel_launches.inc(
-                    rep.launches, kernel=seg.kernel.name, device=str(dev)
-                )
-            obs_runtime.record_dist_solve(obs, plan, sched, live_b, live_x)
-        if plan.perm is not None:
-            out = np.empty_like(x)
-            out[plan.perm] = x
-            return out
         return x

@@ -711,7 +711,7 @@ class SolveService:
             # Compile at cache-insert time: every later hit (and every
             # coalesced batch) lands on the zero-allocation executor.
             if isinstance(prepared, PreparedSolve):
-                prepared._compile_quiet()
+                prepared.compile()
             return _PlanEntry(
                 prepared=prepared, method=method, fallback=False,
                 perm=perm, dist=self._attach_dist(prepared),
@@ -730,7 +730,7 @@ class SolveService:
                     context=f"service:{self.config.fallback_method} (fallback)",
                 )
             if isinstance(prepared, PreparedSolve):
-                prepared._compile_quiet()
+                prepared.compile()
             return _PlanEntry(
                 prepared=prepared,
                 method=self.config.fallback_method,
@@ -783,7 +783,7 @@ class SolveService:
                     rebindable=True,
                     binder=binder,
                     template=prepared_t,
-                    template_compiled=prepared_t._compile_quiet(),
+                    template_compiled=prepared_t.compile(),
                     template_dist=entry_t.dist,
                     build_prep_s=entry_t.prep_time_s,
                     rebind_prep_s=self._rebind_cost(A),
@@ -921,28 +921,17 @@ class SolveService:
         # Captured reports ride along in the payload: injecting them
         # skips the compile-time probe solve, the same way values
         # overlays inherit them from the pattern template in-process.
-        template_compiled = None
-        frozen = payload.get("frozen_reports")
-        if frozen is not None:
-            try:
-                template_compiled = compile_plan(
-                    plan, cfg.device, frozen=tuple(frozen)
-                )
-                prepared_t._compiled = template_compiled
-            except Exception:  # noqa: BLE001 - fall back to a fresh probe
-                template_compiled = None
-        if template_compiled is None:
-            template_compiled = prepared_t._compile_quiet()
-        if template_compiled is not None:
-            for idx, dec in enumerate(payload.get("engine_decisions") or []):
-                if not dec or idx >= len(template_compiled._steps):
-                    continue
-                seed = getattr(
-                    template_compiled._steps[idx], "_seed_engine", None
-                )
-                if callable(seed):
-                    for dt, keep in dec.items():
-                        seed(np.dtype(dt), bool(keep))
+        template_compiled = compile_plan(
+            plan, cfg.device, frozen=payload.get("frozen_reports")
+        )
+        prepared_t._compiled = template_compiled
+        for idx, dec in enumerate(payload.get("engine_decisions") or []):
+            if not dec or idx >= len(template_compiled._steps):
+                continue
+            seed = getattr(template_compiled._steps[idx], "_seed_engine", None)
+            if callable(seed):
+                for dt, keep in dec.items():
+                    seed(np.dtype(dt), bool(keep))
         template_dist = None
         if cfg.n_devices > 1:
             sched = payload.get("dist_schedule")
@@ -1015,12 +1004,8 @@ class SolveService:
                 pattern, pattern.binder.dtype
             ),
             "frozen_reports": (
-                (
-                    pattern.template_compiled._frozen,
-                    pattern.template_compiled._merged,
-                )
-                if pattern.template_compiled is not None
-                and pattern.template_compiled.pure
+                pattern.template_compiled._frozen_for(0)
+                if pattern.template_compiled.pure
                 else None
             ),
             "dist_n_devices": cfg.n_devices,
@@ -1057,8 +1042,6 @@ class SolveService:
         writing process resolves it now and ships the verdicts.
         """
         compiled = pattern.template_compiled
-        if compiled is None:
-            return []
         dt = np.dtype(dtype)
         out: list = []
         for step in compiled._steps:

@@ -451,8 +451,7 @@ class TestDistributedPlan:
     def test_multi_rhs_bit_identical(self):
         L, prepared = _prepare(nseg=8)
         B = np.random.default_rng(2).standard_normal((L.n_rows, 5))
-        prepared.solve_multi(B)  # capture pass at this width
-        X1, _ = prepared.solve_multi(B)
+        X1, _ = prepared.solve_multi(B)  # first solve at this width
         dp = DistributedPlan.from_prepared(prepared, 3)
         X, report = dp.solve_multi(B)
         assert np.array_equal(X, X1)
@@ -493,8 +492,8 @@ class TestDistributedPlan:
     def test_observed_path_matches_and_exports_metrics(self):
         L, prepared = _prepare(nseg=8)
         b = np.random.default_rng(3).standard_normal(L.n_rows)
-        # With observability active every executor takes the
-        # instrumented plan path, so that is the bit-identity reference.
+        # Observed solves run the same compiled steps as unobserved ones,
+        # so an observed single-device solve is the bit-identity reference.
         with Observability().activate():
             x1, _ = prepared.solve(b)
         dp = DistributedPlan.from_prepared(prepared, 3)

@@ -54,15 +54,20 @@ def test_matches_plan_path_multi_rhs(method):
     L, prepared = _prepared(method)
     compiled = compile_plan(prepared.plan, DEVICE)
     rng = np.random.default_rng(2)
-    for k in (1, 3, 7):
+    for k in (1, 2, 3, 7):
         B = rng.standard_normal((L.n_rows, k))
         X_ref, rep_ref = prepared.plan.solve_multi(B, DEVICE)
-        for _ in range(2):  # first call captures, second runs frozen
+        first = None
+        for _ in range(2):  # first call freezes this width's reports
             X, rep = compiled.solve_multi(B)
             np.testing.assert_allclose(X, X_ref, rtol=1e-9, atol=1e-12)
             assert X.shape == (L.n_rows, k)
             assert rep.time_s == rep_ref.time_s
             assert rep.launches == rep_ref.launches
+            if first is None:
+                first = X
+        # the first solve at a new width is no special case
+        assert np.array_equal(first, X)
 
 
 def test_frozen_report_is_fresh_per_solve():
@@ -137,7 +142,7 @@ class TestShapeChecks:
             compiled.solve_multi(np.ones((49, 2)))
 
 
-def test_non_pure_plan_delegates():
+def test_non_pure_kernel_rebuilds_its_report():
     L, prepared = _prepared("levelset")
     plan = prepared.plan
     kernel = plan.segments[0].kernel
@@ -146,16 +151,58 @@ def test_non_pure_plan_delegates():
     try:
         compiled = CompiledPlan(plan, DEVICE)
         assert compiled.pure is False
+        calls = []
+        real_solve = kernel.solve
+
+        def counting_solve(aux, b, device):
+            calls.append(1)
+            return real_solve(aux, b, device)
+
+        kernel.solve = counting_solve
         b = np.ones(L.n_rows)
-        x, rep = compiled.solve(b)
+        for n_calls in (1, 2):  # no report frozen: one rebuild per solve
+            x, rep = compiled.solve(b)
+            assert len(calls) == n_calls
+        del kernel.solve
         x_ref, rep_ref = plan.solve(b, DEVICE)
         np.testing.assert_allclose(x, x_ref, rtol=1e-12)
         assert rep.time_s == rep_ref.time_s
         X, _ = compiled.solve_multi(np.ones((L.n_rows, 2)))
         X_ref, _ = plan.solve_multi(np.ones((L.n_rows, 2)), DEVICE)
         np.testing.assert_allclose(X, X_ref, rtol=1e-12)
+        # ordered execution runs the same steps
+        assert np.array_equal(compiled.solve_ordered(b, [0]), x)
     finally:
         type(kernel).pure_report = True
+
+
+def test_compile_failure_is_visible(monkeypatch):
+    import repro.core.solver as solver_mod
+    from repro import ServiceConfig, SolveService
+
+    real = solver_mod.compile_plan
+
+    def flaky(plan, device, **kwargs):
+        if plan.method == "row-block":
+            raise RuntimeError("injected compile failure")
+        return real(plan, device, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "compile_plan", flaky)
+    L, prepared = _prepared("row-block")
+    b = np.ones(L.n_rows)
+    # No silent answer from a second execution path.
+    with pytest.raises(RuntimeError, match="injected"):
+        prepared.solve(b)
+    obs = Observability()
+    config = ServiceConfig(device=DEVICE, method="row-block", obs=obs)
+    with SolveService(config) as svc:
+        res = svc.solve(L, b)
+        stats = svc.stats()
+    assert res.fallback and res.method == "levelset"
+    np.testing.assert_allclose(res.x, solve_serial(L, b), rtol=1e-9)
+    assert stats.fallbacks == 1
+    assert obs.serve_metrics.fallbacks_total.total() == 1
+    assert "repro_fallbacks_total 1" in obs.to_prometheus()
 
 
 def test_obs_active_takes_the_instrumented_path():
@@ -164,7 +211,8 @@ def test_obs_active_takes_the_instrumented_path():
     obs = Observability()
     with obs.activate():
         x, rep = prepared.solve(np.ones(L.n_rows))
-    # The traced solve ran the plan path: per-segment profile present.
+    # The traced solve ran the compiled steps through the loop's step
+    # hook: one profile row per segment.
     assert len(rep.profile) == len(prepared.plan.segments)
     assert obs.serve_metrics.solves_total.value(method="recursive-block") == 1
     np.testing.assert_allclose(x, compiled.solve(np.ones(L.n_rows))[0],

@@ -216,6 +216,23 @@ class TestStructuralService:
             assert np.array_equal(res.x, single.x)
             assert np.array_equal(res.x, warm.x)
 
+    def test_first_fused_batch_bit_identical_to_per_request(self):
+        # A fresh service's very first batch: every pattern meets its
+        # fused widths here, with no warm-up solve before it.
+        rng = np.random.default_rng(41)
+        reqs = []
+        for n, seed in ((140, 42), (170, 43)):
+            L = random_lower(n, 0.05, seed=seed)
+            for V in (revalue(L, seed=seed + 100), revalue(L, seed=seed + 200)):
+                reqs += [SolveRequest(A=V, b=rng.standard_normal(n))
+                         for _ in range(2)]
+        with SolveService(max_workers=2, cache_capacity=8) as svc:
+            out = svc.solve_batch(reqs)
+            singles = [svc.solve(r.A, r.b) for r in reqs]
+        assert out.fused_requests == len(reqs)
+        for res, single in zip(out, singles):
+            assert np.array_equal(res.x, single.x)
+
     def test_structural_batching_off_restores_full_keying(self):
         L = random_lower(100, 0.06, seed=25)
         L2 = revalue(L, seed=26)
