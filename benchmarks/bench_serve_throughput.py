@@ -8,10 +8,13 @@ checks that cache-hit requests skip preprocessing entirely: hit-path
 mean simulated latency must be under 50% of the miss-path mean.
 
 A second phase replays same-pattern/different-values traffic (the
-structural-batching case) through two fresh services — one with
-``structural_batching`` on, one with it off — and gates the fused
-service at >= ``FUSED_FLOOR`` the legacy wall-clock throughput, with
-fused batch results bit-identical to per-request solves.
+structural-batching case) through two fresh services — the standard
+one, which plans once per pattern and rebinds values, and a baseline
+whose solver returns a ``PreparedSolve`` subclass, which the service
+cannot rebind, so every values vector pays a full plan build — and
+gates the fused service at >= ``FUSED_FLOOR`` the baseline's wall-clock
+throughput, with fused batch results bit-identical to per-request
+solves.
 
 A third phase measures cold-start economics for the disk-backed
 ``PlanStore`` warm tier: a fresh process restarting against a
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import TITAN_RTX_SCALED, register_solver, unregister_solver
-from repro.core.solver import TriangularSolver
+from repro.core.solver import PreparedSolve, RecursiveBlockSolver, TriangularSolver
 from repro.serve import ServiceConfig, SolveRequest, SolveService
 from repro.serve.workload import mixed_workload, replay, revalued_workload
 
@@ -50,7 +53,7 @@ BATCH_REQUESTS = 8
 
 # Structural-batching phase: same-pattern/different-values traffic.
 # Every request is a distinct values variant (the re-factorization
-# stream): the legacy path must plan each one, the structural path
+# stream): the full-build baseline plans each one, the structural path
 # plans once per pattern and rebinds.
 FUSED_PATTERNS = 3
 FUSED_VALUES = 6
@@ -58,8 +61,10 @@ FUSED_REQUESTS = FUSED_PATTERNS * FUSED_VALUES
 FUSED_BATCH = FUSED_REQUESTS
 FUSED_REPEATS = 3
 #: acceptance floor: fused service wall-clock speedup over the
-#: structural_batching=False ablation on the revalued workload
+#: full-build-per-values baseline on the revalued workload
 FUSED_FLOOR = 2.0
+#: registered method of the baseline (see _FullBuildSolver)
+FULL_BUILD = "recursive-block-full-build"
 
 # Plan-store warm-tier phase: cold-start-to-steady-state ramp with an
 # empty store vs the same workload restarted against a pre-warmed one.
@@ -80,20 +85,39 @@ class _ExplodingSolver(TriangularSolver):
         raise RuntimeError("planner exploded (benchmark-injected failure)")
 
 
-def _fused_service(structural: bool) -> SolveService:
-    # Capacity holds every variant (legacy mode keys on full fingerprint)
-    # so the comparison measures plan-build cost, not eviction thrash.
+class _FullBuildPrepared(PreparedSolve):
+    """Same plan, but a subclass: the service only rebinds plain
+    ``PreparedSolve`` plans (a subclass may override ``solve``), so it
+    runs a full plan build for every distinct values vector."""
+
+
+class _FullBuildSolver(RecursiveBlockSolver):
+    """recursive-block, returning plans the service cannot rebind."""
+
+    method = FULL_BUILD
+
+    def _prepare(self, L):
+        p = super()._prepare(L)
+        return _FullBuildPrepared(
+            p.method, p.plan, p.device, p.preprocess_report, blocked=p.blocked
+        )
+
+
+def _fused_service(method: str) -> SolveService:
+    # Capacity holds every variant so the comparison measures plan-build
+    # cost, not eviction thrash.
     return SolveService(ServiceConfig(
-        method="recursive-block",
+        method=method,
         device=TITAN_RTX_SCALED,
         cache_capacity=FUSED_PATTERNS * FUSED_VALUES + 1,
+        overlay_capacity=FUSED_VALUES,
         max_workers=4,
-        structural_batching=structural,
     ))
 
 
 def fused_phase() -> dict:
-    """Fused (structural) vs legacy replay of the revalued workload."""
+    """Fused (structural) vs full-build-per-values replay of the
+    revalued workload."""
     workload = revalued_workload(
         FUSED_REQUESTS,
         scale=0.05,
@@ -102,10 +126,10 @@ def fused_phase() -> dict:
         seed=13,
     )
 
-    def timed_replay(structural: bool) -> tuple[float, SolveService]:
+    def timed_replay(method: str) -> tuple[float, SolveService]:
         best, svc = float("inf"), None
         for _ in range(FUSED_REPEATS):
-            with _fused_service(structural) as s:
+            with _fused_service(method) as s:
                 t0 = time.perf_counter()
                 replay(s, workload, batch_size=FUSED_BATCH)
                 elapsed = time.perf_counter() - t0
@@ -113,13 +137,19 @@ def fused_phase() -> dict:
                 best, svc = elapsed, s
         return best, svc
 
-    legacy_s, _ = timed_replay(structural=False)
-    fused_s, fused_svc = timed_replay(structural=True)
+    register_solver(FULL_BUILD, _FullBuildSolver, replace=True)
+    try:
+        legacy_s, legacy_svc = timed_replay(FULL_BUILD)
+    finally:
+        unregister_solver(FULL_BUILD)
+    # every values vector paid a full build: no overlay was rebound
+    assert legacy_svc.stats().cache_hits == 0
+    fused_s, fused_svc = timed_replay("recursive-block")
     stats = fused_svc.stats()
 
     # Bit-identity: a fused same-pattern batch must match per-request
     # solves through the same (warm) service, bit for bit.
-    with _fused_service(structural=True) as svc:
+    with _fused_service("recursive-block") as svc:
         variants = [
             workload.matrices[name]
             for name in list(workload.matrices)[:FUSED_VALUES]
@@ -350,7 +380,7 @@ def render(result: dict) -> str:
             f"batch={f['batch_size']}"
         )
         lines.append(
-            f"    legacy {f['legacy_s'] * 1e3:9.2f} ms   "
+            f"    full-build {f['legacy_s'] * 1e3:9.2f} ms   "
             f"fused {f['fused_s'] * 1e3:9.2f} ms   "
             f"speedup {f['speedup']:.2f}x (acceptance: >= {f['fused_floor']}x)"
         )

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.solver import SOLVERS, TriangularSolver
-from repro.errors import NotTriangularError
+from repro.errors import NotTriangularError, caller_rows
 from repro.formats.csr import CSRMatrix
 from repro.formats.triangular import (
     is_lower_triangular,
@@ -184,10 +184,11 @@ def solve_triangular(
     if isinstance(trace, Tracer):
         trace = Observability(tracer=trace)
     if trace is None:
-        prepared = solver.prepare(L)
-        y, report = _checked_solve(prepared, L, rhs, method, check)
+        with caller_rows(perm):
+            prepared = solver.prepare(L)
+            y, report = _checked_solve(prepared, L, rhs, method, check)
     else:
-        with trace.activate():
+        with trace.activate(), caller_rows(perm):
             with trace.span("solve_triangular", method=method,
                             n=A.n_rows, nnz=A.nnz):
                 prepared = solver.prepare(L)

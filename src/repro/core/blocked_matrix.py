@@ -29,6 +29,7 @@ from repro.core.adaptive import AdaptiveSelector
 from repro.core.build import SegmentBuilder
 from repro.core.plan import ExecutionPlan, SpMVSegment, TriSegment
 from repro.core.recursive_block import recursive_ranges
+from repro.errors import caller_rows
 from repro.formats.csr import CSRMatrix
 from repro.gpu.device import DeviceModel
 from repro.graph.reorder import levelset_permutation
@@ -235,7 +236,9 @@ def build_improved_recursive_plan(
             else recursive_ranges(0, n, depth)
         )
         sp.set(n_ranges=len(ops))
-    with obs_span("planner.pack", use_dcsr=use_dcsr) as sp:
+    # a zero diagonal is found in the reordered matrix: name its row
+    # in the caller's order
+    with obs_span("planner.pack", use_dcsr=use_dcsr) as sp, caller_rows(perm):
         for op in ops:
             if op[0] == "tri":
                 seg = builder.tri_segment(op[1], op[2])

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.adaptive import AdaptiveSelector
 from repro.core.plan import SpMVSegment, TriSegment
+from repro.errors import caller_rows
 from repro.formats.csr import CSRMatrix
 from repro.gpu.device import DeviceModel
 from repro.gpu.report import KernelReport
@@ -82,7 +83,8 @@ class SegmentBuilder:
     def tri_segment(self, lo: int, hi: int) -> TriSegment:
         """Extract rows/cols [lo, hi) as a triangular solve segment."""
         sub = self.L.extract_block(lo, hi, lo, hi)
-        prep = prepare_lower(sub)
+        with caller_rows(range(lo, hi)):
+            prep = prepare_lower(sub)
         if self.fixed_tri is not None:
             name = self.fixed_tri
         else:

@@ -29,6 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.plan import ExecutionPlan, SpMVSegment, TriSegment
+from repro.errors import caller_rows
 from repro.formats.triangular import check_solvable_diagonal
 from repro.kernels.base import PreparedLower
 from repro.kernels.sweep import LevelSchedule
@@ -155,9 +156,14 @@ class PlanRebinder:
     def _segment_binder(self, seg):
         if isinstance(seg, TriSegment):
             bind_aux = self._aux_binder(seg.aux)
-            return lambda data: TriSegment(
-                seg.lo, seg.hi, seg.kernel, bind_aux(data), seg.nnz
-            )
+            rows = range(seg.lo, seg.hi)
+
+            def bind_tri(data):
+                with caller_rows(rows):
+                    aux = bind_aux(data)
+                return TriSegment(seg.lo, seg.hi, seg.kernel, aux, seg.nnz)
+
+            return bind_tri
         if isinstance(seg, SpMVSegment):
             bind_m = self.matrix_binder(seg.matrix)
             return lambda data: SpMVSegment(
@@ -181,10 +187,12 @@ class PlanRebinder:
                 f"data must have shape ({self.nnz},) dtype {self.dtype}, "
                 f"got {data.shape} {data.dtype}"
             )
+        with caller_rows(self.plan.perm):
+            segments = [b(data) for b in self._seg_binders]
         return ExecutionPlan(
             method=self.plan.method,
             n=self.plan.n,
-            segments=[b(data) for b in self._seg_binders],
+            segments=segments,
             perm=self.plan.perm,
             preprocess_report=self.plan.preprocess_report,
         )

@@ -31,7 +31,44 @@ class NotTriangularError(ReproError):
 
 
 class SingularMatrixError(ReproError):
-    """A triangular solve encountered a zero or missing diagonal entry."""
+    """A triangular solve encountered a zero or missing diagonal entry.
+
+    ``rows`` (sorted) and ``row`` (the first) name the offending rows in
+    the caller's coordinates when the raising check knows them, else
+    they are ``None``.
+    """
+
+    def __init__(self, message: str | None = None, *, rows=None) -> None:
+        self.rows = None if rows is None else sorted(int(r) for r in rows)
+        self.row = self.rows[0] if self.rows else None
+        super().__init__(
+            message
+            or f"zero diagonal at {len(self.rows)} rows (first: row {self.row})"
+        )
+
+
+class caller_rows:
+    """Rename the rows of a :class:`SingularMatrixError` raised inside
+    from an inner index space to the enclosing one: row ``r`` becomes
+    ``index[r]`` (``range(lo, hi)`` for a diagonal block, a reorder's or
+    the upper mirror's ``perm``; ``None`` renames nothing)."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index) -> None:
+        self.index = index
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if (
+            isinstance(exc, SingularMatrixError)
+            and exc.rows is not None
+            and self.index is not None
+        ):
+            index = self.index
+            raise SingularMatrixError(rows=[index[r] for r in exc.rows]) from None
 
 
 class ShapeMismatchError(ReproError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeMismatchError, SparseFormatError
+from repro.formats.csr import reject_complex
 from repro.utils.arrays import counts_to_indptr
 
 __all__ = ["coo_to_csr_arrays", "csr_to_csc", "csc_to_csr", "csr_transpose"]
@@ -33,6 +34,7 @@ def coo_to_csr_arrays(
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals)
+    reject_complex(vals)
     if not (len(rows) == len(cols) == len(vals)):
         raise ShapeMismatchError("COO triplet arrays must have equal length")
     n_rows, n_cols = shape

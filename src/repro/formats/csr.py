@@ -13,13 +13,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ShapeMismatchError, SparseFormatError
+from repro.errors import ShapeMismatchError, SparseFormatError, ValidationError
 from repro.utils.arrays import counts_to_indptr, gather_row_ranges, segment_sums
 
-__all__ = ["CSRMatrix"]
+__all__ = ["CSRMatrix", "reject_complex"]
 
 INDEX_DTYPE = np.int32
 INDPTR_DTYPE = np.int64
+
+
+def reject_complex(values: np.ndarray) -> None:
+    """Refuse complex matrix values: a cast to the real work dtype would
+    drop the imaginary part and return a wrong solution."""
+    if values.dtype.kind == "c":
+        raise ValidationError(
+            f"complex matrix values ({values.dtype}) are not supported",
+            kind="dtype",
+        )
 
 
 @dataclass
@@ -52,6 +62,7 @@ class CSRMatrix:
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=INDPTR_DTYPE)
         self.indices = np.ascontiguousarray(self.indices, dtype=INDEX_DTYPE)
+        reject_complex(self.data)
         if self.data.dtype.kind != "f":
             self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         else:

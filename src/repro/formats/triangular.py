@@ -127,9 +127,7 @@ def check_solvable_diagonal(diag: np.ndarray) -> None:
     """Raise :class:`SingularMatrixError` if the diagonal has a zero."""
     bad = np.nonzero(diag == 0)[0]
     if len(bad):
-        raise SingularMatrixError(
-            f"zero diagonal at {len(bad)} rows (first: row {int(bad[0])})"
-        )
+        raise SingularMatrixError(rows=bad)
 
 
 def upper_to_lower_mirror(csr: CSRMatrix) -> tuple[CSRMatrix, np.ndarray]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ShapeMismatchError
+from repro.errors import ShapeMismatchError, ValidationError
 from repro.formats.csr import CSRMatrix
 from repro.formats.triangular import split_strict_and_diag
 from repro.gpu.cost import CostModel
@@ -59,8 +59,14 @@ def solve_dtype(*operands) -> np.dtype:
     side must never allocate integer work buffers (every triangular
     division would silently truncate).  Float operands keep their
     precision, so single-precision paths stay single precision.
+    Complex operands raise ``ValidationError(kind="dtype")``: no kernel
+    may drop an imaginary part or fail on one with a bare NumPy error.
     """
     dt = np.result_type(*operands)
+    if dt.kind == "c":
+        raise ValidationError(
+            f"complex right-hand sides ({dt}) are not supported", kind="dtype"
+        )
     if not np.issubdtype(dt, np.inexact):
         dt = np.result_type(dt, np.float64)
     return dt

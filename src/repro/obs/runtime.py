@@ -48,6 +48,9 @@ def active() -> "Observability | None":
 class _NullSpan:
     __slots__ = ()
 
+    #: a no-op span belongs to no trace
+    trace_id = None
+
     def set(self, **attrs) -> "_NullSpan":
         return self
 

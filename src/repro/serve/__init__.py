@@ -18,7 +18,6 @@ from repro.serve.ingress import (
 from repro.serve.fingerprint import (
     fingerprints,
     matrix_fingerprint,
-    plan_key,
     structure_fingerprint,
     structure_key,
     values_fingerprint,
@@ -62,7 +61,6 @@ __all__ = [
     "structure_fingerprint",
     "values_fingerprint",
     "fingerprints",
-    "plan_key",
     "structure_key",
     "ServiceConfig",
     "ServiceTimeoutError",

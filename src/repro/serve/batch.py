@@ -30,8 +30,7 @@ class BucketInfo:
     Attributes
     ----------
     structure:
-        The bucket's structure fingerprint (None when structural
-        batching is disabled and requests bucket by full content).
+        The bucket's structure fingerprint.
     method:
         The requested method for the bucket.
     n_requests:

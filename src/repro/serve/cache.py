@@ -49,10 +49,10 @@ class CacheStats:
 
 
 class PlanCache:
-    """LRU mapping from :func:`plan_key` tuples to prepared plans.
+    """LRU mapping from :func:`structure_key` tuples to pattern plans.
 
     ``get_or_build`` is single-flight per key: concurrent misses on the
-    same matrix build the plan once while other keys proceed in
+    same pattern build the plan once while other keys proceed in
     parallel.  Building happens outside the cache-wide lock so a slow
     preprocessing never blocks unrelated lookups.
     """

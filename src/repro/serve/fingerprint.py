@@ -33,7 +33,6 @@ __all__ = [
     "structure_fingerprint",
     "values_fingerprint",
     "fingerprints",
-    "plan_key",
     "structure_key",
 ]
 
@@ -176,23 +175,6 @@ def _canon_options(options: Mapping[str, Any] | None) -> tuple:
     )
 
 
-def plan_key(
-    fingerprint: str,
-    method: str,
-    device: DeviceModel,
-    options: Mapping[str, Any] | None = None,
-) -> tuple:
-    """Cache key for a prepared plan.
-
-    A plan is reusable only for the same matrix content, method, device
-    model, and solver options — any of these changes the preprocessing
-    output, so all of them key the cache.  Option values are
-    canonicalized by :func:`_canon_value` (type tag + exact content)
-    rather than ``repr``.
-    """
-    return (fingerprint, method, device.name, _canon_options(options))
-
-
 def structure_key(
     structure_fp: str,
     method: str,
@@ -206,8 +188,8 @@ def structure_key(
     structure digest, method, device model, solver options, and the
     values dtype (the work dtype decides kernel dispatch, arena shapes,
     and the hoisted engines — two dtypes can never share compiled
-    state).  The leading ``"structure"`` tag keeps these keys disjoint
-    from :func:`plan_key` tuples inside a shared cache.
+    state).  Option values are canonicalized by :func:`_canon_value`
+    (type tag + exact content) rather than ``repr``.
     """
     return (
         "structure",

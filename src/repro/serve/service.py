@@ -47,6 +47,7 @@ from repro.errors import (
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
+    caller_rows,
 )
 from repro.formats.csr import CSRMatrix
 from repro.formats.triangular import (
@@ -56,10 +57,10 @@ from repro.formats.triangular import (
 from repro.gpu.cost import CostModel
 from repro.gpu.device import TITAN_RTX_SCALED, DeviceModel
 from repro.obs.clock import monotonic
-from repro.obs.runtime import Observability
+from repro.obs.runtime import _NULL_CM, Observability
 from repro.serve.batch import BatchResult, BucketInfo
 from repro.serve.cache import PlanCache
-from repro.serve.fingerprint import fingerprints, plan_key, structure_key
+from repro.serve.fingerprint import fingerprints, structure_key
 from repro.serve.stats import RequestRecord, ServiceStats
 from repro.serve.store import PlanStore
 from repro.validate.invariants import (
@@ -78,6 +79,12 @@ __all__ = [
 
 class ServiceTimeoutError(ServiceError):
     """A request's deadline expired before its solve could run."""
+
+
+def _span(obs: Observability | None, name: str, **attrs):
+    """``obs.span(name, **attrs)``, or the shared no-op span when
+    telemetry is off: every span site is one ``with`` either way."""
+    return _NULL_CM if obs is None else obs.span(name, **attrs)
 
 
 @dataclass(frozen=True)
@@ -124,12 +131,6 @@ class ServiceConfig:
     #: ``"p2p"`` per-edge ready notifications or ``"barrier"``
     #: bulk-synchronous rounds.  Numerics are identical either way.
     sync_mode: str = "p2p"
-    #: key the plan cache by sparsity *structure* and rebind values
-    #: onto the shared pattern plan; batches additionally fuse
-    #: same-pattern requests into one bucket.  False restores the
-    #: 1.1-era full-content keying (every distinct values vector pays
-    #: a full re-plan) — kept as an ablation/bisection switch.
-    structural_batching: bool = True
     #: values overlays retained per cached pattern (LRU)
     overlay_capacity: int = 4
     #: directory of the disk-backed second-level plan store
@@ -190,6 +191,7 @@ class _GroupJob:
     positions: list = field(default_factory=list)
 
 
+@dataclass(eq=False, slots=True, kw_only=True)
 class _PatternEntry:
     """What the cache stores: a pattern-level plan plus values overlays.
 
@@ -202,58 +204,22 @@ class _PatternEntry:
     no sharing.
     """
 
-    __slots__ = (
-        "method",
-        "fallback",
-        "perm",
-        "requested_method",
-        "rebindable",
-        "binder",
-        "template",
-        "template_compiled",
-        "template_dist",
-        "build_prep_s",
-        "rebind_prep_s",
-        "overlays",
-        "capacity",
-        "evict_cb",
-        "_lock",
-        "_flights",
-    )
-
-    def __init__(
-        self,
-        *,
-        method: str,
-        fallback: bool,
-        perm,
-        requested_method: str,
-        rebindable: bool,
-        binder: PlanRebinder | None,
-        template: PreparedSolve | None,
-        template_compiled,
-        template_dist,
-        build_prep_s: float,
-        rebind_prep_s: float,
-        capacity: int,
-        evict_cb=None,
-    ) -> None:
-        self.method = method
-        self.fallback = fallback
-        self.perm = perm
-        self.requested_method = requested_method
-        self.rebindable = rebindable
-        self.binder = binder
-        self.template = template
-        self.template_compiled = template_compiled
-        self.template_dist = template_dist
-        self.build_prep_s = build_prep_s
-        self.rebind_prep_s = rebind_prep_s
-        self.overlays: OrderedDict[str, _PlanEntry] = OrderedDict()
-        self.capacity = capacity
-        self.evict_cb = evict_cb
-        self._lock = threading.Lock()
-        self._flights: dict[str, threading.Event] = {}
+    method: str
+    fallback: bool
+    perm: np.ndarray | None
+    requested_method: str
+    rebindable: bool
+    build_prep_s: float
+    capacity: int
+    evict_cb: object = None
+    binder: PlanRebinder | None = None
+    template: PreparedSolve | None = None
+    template_compiled: object = None
+    template_dist: object = None
+    rebind_prep_s: float = 0.0
+    overlays: OrderedDict = field(default_factory=OrderedDict)
+    _lock: threading.Lock = field(default_factory=threading.Lock)
+    _flights: dict = field(default_factory=dict)
 
     @property
     def _latest(self) -> _PlanEntry | None:
@@ -417,10 +383,11 @@ class SolveService:
 
         Requests picked up after the call run under ``obs``; in-flight
         requests finish under the bundle they started with.  Detaching
-        restores the obs-off fast path exactly — no spans, no metric
-        families touched, one thread-local check per instrumentation
-        point — which is what lets a single warmed service A/B its own
-        instrumentation cost (see ``benchmarks/bench_obs_overhead.py``).
+        restores the obs-off path exactly — no activation, no spans
+        opened (every span site gets the shared no-op span), no metric
+        families touched — which is what lets a single warmed service
+        A/B its own instrumentation cost (see
+        ``benchmarks/bench_obs_overhead.py``).
         """
         self._obs = obs
 
@@ -588,7 +555,6 @@ class SolveService:
         self._admit([r.tenant for r in reqs])
         ids = self._take_ids(len(reqs))
         deadline = self._deadline(timeout_s)
-        structural = self.config.structural_batching
         # One structure scan per request: the orientation feeds both the
         # fingerprint's triangle tag and the mirror decision at build
         # time (previously re-scanned O(nnz) inside each).
@@ -596,16 +562,12 @@ class SolveService:
         fps = [
             fingerprints(r.A, orientation=o) for r, o in zip(reqs, orients)
         ]
-        # Bucket by pattern (or by full content when structural batching
-        # is off) and tenant — buckets stay tenant-homogeneous so every
-        # per-bucket observation carries one attribution label;
+        # Bucket by pattern and tenant — buckets stay tenant-homogeneous
+        # so every per-bucket observation carries one attribution label;
         # coalesce same-content requests into one group each.
         buckets: dict[tuple, dict[str, _GroupJob]] = {}
         for pos, (r, (full, sfp, vfp)) in enumerate(zip(reqs, fps)):
-            if structural:
-                bkey = (sfp, str(r.A.data.dtype), r.method, r.tenant)
-            else:
-                bkey = (full, None, r.method, r.tenant)
+            bkey = (sfp, str(r.A.data.dtype), r.method, r.tenant)
             groups = buckets.setdefault(bkey, {})
             job = groups.get(full)
             if job is None:
@@ -699,46 +661,41 @@ class SolveService:
                 "matrix is neither lower- nor upper-triangular; use "
                 "repro.lower_triangular_from to prepare it first"
             )
-        options = self.config.solver_options if method == self.config.method else {}
-        try:
-            validate_solver_options(method, options)
-            solver = SOLVERS[method](device=self.config.device, **options)
-            if self._fault_injector is not None:
-                self._fault_injector.before_build(method)
+        cfg = self.config
+        options = cfg.solver_options if method == cfg.method else {}
+
+        def prepare(solver, method: str, fallback: bool) -> _PlanEntry:
             prepared = solver.prepare(L)
-            if self.config.check and getattr(prepared, "plan", None) is not None:
-                check_plan(prepared.plan, L, context=f"service:{method}")
+            if cfg.check and getattr(prepared, "plan", None) is not None:
+                suffix = " (fallback)" if fallback else ""
+                check_plan(
+                    prepared.plan, L, context=f"service:{method}{suffix}"
+                )
             # Compile at cache-insert time: every later hit (and every
             # coalesced batch) lands on the zero-allocation executor.
             if isinstance(prepared, PreparedSolve):
                 prepared.compile()
             return _PlanEntry(
-                prepared=prepared, method=method, fallback=False,
+                prepared=prepared, method=method, fallback=fallback,
                 perm=perm, dist=self._attach_dist(prepared),
                 prep_time_s=getattr(prepared, "preprocessing_time_s", 0.0),
             )
-        except NotTriangularError:
-            raise
-        except Exception:
-            if not self.config.fallback or method == self.config.fallback_method:
+
+        # errors name the caller's rows, not the mirrored ones
+        with caller_rows(perm):
+            try:
+                validate_solver_options(method, options)
+                solver = SOLVERS[method](device=cfg.device, **options)
+                if self._fault_injector is not None:
+                    self._fault_injector.before_build(method)
+                return prepare(solver, method, False)
+            except NotTriangularError:
                 raise
-            solver = SOLVERS[self.config.fallback_method](device=self.config.device)
-            prepared = solver.prepare(L)
-            if self.config.check and getattr(prepared, "plan", None) is not None:
-                check_plan(
-                    prepared.plan, L,
-                    context=f"service:{self.config.fallback_method} (fallback)",
-                )
-            if isinstance(prepared, PreparedSolve):
-                prepared.compile()
-            return _PlanEntry(
-                prepared=prepared,
-                method=self.config.fallback_method,
-                fallback=True,
-                perm=perm,
-                dist=self._attach_dist(prepared),
-                prep_time_s=getattr(prepared, "preprocessing_time_s", 0.0),
-            )
+            except Exception:
+                fb = cfg.fallback_method
+                if not cfg.fallback or method == fb:
+                    raise
+                return prepare(SOLVERS[fb](device=cfg.device), fb, True)
 
     def _rebind_cost(self, A: CSRMatrix) -> float:
         """Simulated cost of a values rebind: one pass reading the new
@@ -762,43 +719,42 @@ class SolveService:
         cfg = self.config
         with self._counter_lock:
             self._pattern_builds += 1
-        if cfg.structural_batching:
-            try:
-                tracer = tracer_matrix(A)
-                entry_t = self._build_entry(tracer, method, orientation)
-                prepared_t = entry_t.prepared
-                # Exact type, not isinstance: a subclass may override
-                # solve() with behavior a rebound plain PreparedSolve
-                # would silently drop (e.g. the fuzzer's sign-flip canary).
-                if type(prepared_t) is not PreparedSolve:
-                    raise RebindError(
-                        f"external prepared type {type(prepared_t).__qualname__}"
-                    )
-                binder = PlanRebinder(prepared_t.plan, A.nnz, A.data.dtype)
-                pattern = _PatternEntry(
-                    method=entry_t.method,
-                    fallback=entry_t.fallback,
-                    perm=entry_t.perm,
-                    requested_method=method,
-                    rebindable=True,
-                    binder=binder,
-                    template=prepared_t,
-                    template_compiled=prepared_t.compile(),
-                    template_dist=entry_t.dist,
-                    build_prep_s=entry_t.prep_time_s,
-                    rebind_prep_s=self._rebind_cost(A),
-                    capacity=cfg.overlay_capacity,
-                    evict_cb=self._overlay_evicted,
+        try:
+            tracer = tracer_matrix(A)
+            entry_t = self._build_entry(tracer, method, orientation)
+            prepared_t = entry_t.prepared
+            # Exact type, not isinstance: a subclass may override
+            # solve() with behavior a rebound plain PreparedSolve
+            # would silently drop (e.g. the fuzzer's sign-flip canary).
+            if type(prepared_t) is not PreparedSolve:
+                raise RebindError(
+                    f"external prepared type {type(prepared_t).__qualname__}"
                 )
-                # The first values variant pays the full (simulated)
-                # plan-build cost; later variants pay only the rebind.
-                first = self._build_overlay(
-                    pattern, A, prep_time_s=pattern.build_prep_s
-                )
-                pattern._install(vfp, first)
-                return pattern
-            except RebindError:
-                pass  # untraceable value flow: full builds per values
+            binder = PlanRebinder(prepared_t.plan, A.nnz, A.data.dtype)
+            pattern = _PatternEntry(
+                method=entry_t.method,
+                fallback=entry_t.fallback,
+                perm=entry_t.perm,
+                requested_method=method,
+                rebindable=True,
+                binder=binder,
+                template=prepared_t,
+                template_compiled=prepared_t.compile(),
+                template_dist=entry_t.dist,
+                build_prep_s=entry_t.prep_time_s,
+                rebind_prep_s=self._rebind_cost(A),
+                capacity=cfg.overlay_capacity,
+                evict_cb=self._overlay_evicted,
+            )
+            # The first values variant pays the full (simulated)
+            # plan-build cost; later variants pay only the rebind.
+            first = self._build_overlay(
+                pattern, A, prep_time_s=pattern.build_prep_s
+            )
+            pattern._install(vfp, first)
+            return pattern
+        except RebindError:
+            pass  # untraceable value flow: full builds per values
         entry = self._build_entry(A, method, orientation)
         pattern = _PatternEntry(
             method=entry.method,
@@ -806,12 +762,7 @@ class SolveService:
             perm=entry.perm,
             requested_method=method,
             rebindable=False,
-            binder=None,
-            template=None,
-            template_compiled=None,
-            template_dist=None,
             build_prep_s=entry.prep_time_s,
-            rebind_prep_s=0.0,
             capacity=cfg.overlay_capacity,
             evict_cb=self._overlay_evicted,
         )
@@ -852,18 +803,12 @@ class SolveService:
             "method": method,
             "device": cfg.device.name,
         }
-        if obs is not None:
-            with obs.span("serve.store.load", method=method) as sp:
-                result, loaded = self.store.lookup(key, expect=expect)
-                pattern = self._reconstruct(loaded, key, job)
-                if loaded is not None and pattern is None:
-                    result = "corrupt"
-                sp.set(result=result)
-        else:
+        with _span(obs, "serve.store.load", method=method) as sp:
             result, loaded = self.store.lookup(key, expect=expect)
             pattern = self._reconstruct(loaded, key, job)
             if loaded is not None and pattern is None:
                 result = "corrupt"
+            sp.set(result=result)
         if obs is not None:
             obs.serve_metrics.store_lookups.inc(result=result)
         return pattern
@@ -1025,12 +970,10 @@ class SolveService:
             "n": A.n_rows,
             "nnz": A.nnz,
         }
-        if obs is not None:
-            with obs.span("serve.store.write", method=method):
-                self.store.put(key, header, payload)
-            obs.serve_metrics.store_writes.inc()
-        else:
+        with _span(obs, "serve.store.write", method=method):
             self.store.put(key, header, payload)
+        if obs is not None:
+            obs.serve_metrics.store_writes.inc()
 
     def _engine_decisions(self, pattern: _PatternEntry, dtype) -> list:
         """Resolve and capture the compiled template's per-segment numeric
@@ -1064,7 +1007,8 @@ class SolveService:
         if not pattern.rebindable:
             return self._build_entry(A, pattern.requested_method)
         cfg = self.config
-        plan = pattern.binder.bind(A.data)
+        with caller_rows(pattern.perm):
+            plan = pattern.binder.bind(A.data)
         prepared = PreparedSolve(
             pattern.method,
             plan,
@@ -1105,7 +1049,7 @@ class SolveService:
         as_batch: bool,
     ):
         """Worker-thread entry for one structural bucket: activate
-        observability (when configured), run every values-group over the
+        observability (when attached), run every values-group over the
         shared pattern plan, then release admissions for the bucket."""
         t0 = monotonic()
         total = sum(len(j.rids) for j in jobs)
@@ -1114,34 +1058,21 @@ class SolveService:
         tenant = jobs[0].tenant  # buckets are tenant-homogeneous
         qwait = None if submitted_at is None else max(0.0, t0 - submitted_at)
         try:
-            if obs is None:
-                results, errors, pattern_hit = self._run_bucket_inner(
-                    jobs, deadline, t0, None, submitted_at, fused, qwait
-                )
-            else:
-                with obs.activate():
-                    if fused:
-                        with obs.span(
-                            "serve.bucket",
-                            method=jobs[0].method or self.config.method,
-                            tenant=tenant,
-                            n_groups=len(jobs),
-                            n_requests=total,
-                        ):
-                            if submitted_at is not None:
-                                obs.tracer.record_span(
-                                    "serve.queue_wait", submitted_at, t0
-                                )
-                                obs.serve_metrics.queue_wait.observe(
-                                    qwait, tenant=tenant
-                                )
-                            results, errors, pattern_hit = self._run_bucket_inner(
-                                jobs, deadline, t0, obs, None, fused, qwait
-                            )
-                    else:
-                        results, errors, pattern_hit = self._run_bucket_inner(
-                            jobs, deadline, t0, obs, submitted_at, fused, qwait
-                        )
+            # Telemetry off: no activation, so ``runtime.active()`` stays
+            # None and the executors keep their unobserved loops.
+            with _NULL_CM if obs is None else obs.activate():
+                with _NULL_CM if not fused else _span(
+                    obs,
+                    "serve.bucket",
+                    method=jobs[0].method or self.config.method,
+                    tenant=tenant,
+                    n_groups=len(jobs),
+                    n_requests=total,
+                ):
+                    results, errors, pattern_hit = self._run_bucket_inner(
+                        jobs, deadline, t0, obs, submitted_at, fused, qwait
+                    )
+                if obs is not None:
                     metrics = obs.serve_metrics
                     metrics.batch_bucket_occupancy.observe(float(total))
                     if fused:
@@ -1151,7 +1082,7 @@ class SolveService:
         if errors:
             raise errors[0]
         info = BucketInfo(
-            structure=jobs[0].sfp if self.config.structural_batching else None,
+            structure=jobs[0].sfp,
             method=jobs[0].method or self.config.method,
             tenant=tenant,
             n_requests=total,
@@ -1183,86 +1114,124 @@ class SolveService:
         errors: list[Exception] = []
         pattern_hit = False
         bucket_n = len(jobs)
+        # The queue wait hangs under the outermost span: the bucket's
+        # when fused, else the single request's.
+        if fused:
+            self._note_queue_wait(obs, submitted_at, t0, jobs[0].tenant)
         for job in jobs:
             try:
-                if obs is None:
-                    group_results, p_hit = self._run_group_inner(
-                        job, deadline, None, t0, fused, bucket_n, qwait
-                    )
-                else:
-                    metrics = obs.serve_metrics
-                    with obs.span(
-                        "serve.request",
-                        method=job.method or self.config.method,
-                        tenant=job.tenant,
-                        coalesced=len(job.rids),
-                    ) as req_span:
-                        if submitted_at is not None:
-                            obs.tracer.record_span(
-                                "serve.queue_wait", submitted_at, t0
-                            )
-                            metrics.queue_wait.observe(
-                                max(0.0, t0 - submitted_at), tenant=job.tenant
-                            )
-                            submitted_at = None
-                        try:
-                            group_results, p_hit = self._run_group_inner(
-                                job, deadline, obs, t0, fused, bucket_n, qwait
-                            )
-                        except ServiceTimeoutError:
-                            metrics.requests_total.inc(
-                                len(job.rids), status="timeout",
-                                tenant=job.tenant,
-                            )
-                            self._note_failure(
-                                obs, job, req_span, t0, qwait, "timeout"
-                            )
-                            raise
-                        except Exception:
-                            metrics.requests_total.inc(
-                                len(job.rids), status="error",
-                                tenant=job.tenant,
-                            )
-                            self._note_failure(
-                                obs, job, req_span, t0, qwait, "error"
-                            )
-                            raise
+                with _span(
+                    obs,
+                    "serve.request",
+                    method=job.method or self.config.method,
+                    tenant=job.tenant,
+                    coalesced=len(job.rids),
+                ) as req_span:
+                    if not fused:
+                        self._note_queue_wait(obs, submitted_at, t0, job.tenant)
+                    try:
+                        group_results, p_hit = self._run_group_inner(
+                            job, deadline, obs, req_span, t0, fused,
+                            bucket_n, qwait,
+                        )
+                    except Exception as exc:
+                        outcome = (
+                            "timeout"
+                            if isinstance(exc, ServiceTimeoutError)
+                            else "error"
+                        )
+                        self._note_outcome(
+                            obs, job, outcome, monotonic() - t0, qwait,
+                            req_span.trace_id,
+                        )
+                        raise
                 results.extend(group_results)
                 pattern_hit = pattern_hit or p_hit
             except Exception as exc:  # noqa: BLE001 - collected, first re-raised
                 errors.append(exc)
         return results, errors, pattern_hit
 
-    def _note_failure(
-        self,
-        obs: Observability,
-        job: _GroupJob,
-        req_span,
+    @staticmethod
+    def _note_queue_wait(
+        obs: Observability | None,
+        submitted_at: float | None,
         t0: float,
-        qwait: float | None,
-        outcome: str,
+        tenant: str,
     ) -> None:
-        """Feed a failed group to the recorder + SLO engine, then dump
-        the flight recorder for the incident (bounded by its cap)."""
-        wall = monotonic() - t0
-        tid = req_span.trace_id if req_span is not None else None
-        for _ in job.rids:
+        if obs is None or submitted_at is None:
+            return
+        obs.tracer.record_span("serve.queue_wait", submitted_at, t0)
+        obs.serve_metrics.queue_wait.observe(
+            max(0.0, t0 - submitted_at), tenant=tenant
+        )
+
+    def _note_outcome(
+        self,
+        obs: Observability | None,
+        job: _GroupJob,
+        outcome: str,
+        wall: float,
+        qwait: float | None,
+        trace_id: int | None,
+        results: list[SolveResult] = (),
+        prep_s: float = 0.0,
+    ) -> None:
+        """The metric, flight-recorder and SLO writes of one group's
+        terminal outcome: ``"ok"`` (one sample per result), or
+        ``"timeout"``/``"error"``, which also dump the flight recorder
+        for the incident (bounded by its cap)."""
+        if obs is None:
+            return
+        metrics = obs.serve_metrics
+        tenant = job.tenant
+        if outcome != "ok":
+            metrics.requests_total.inc(
+                len(job.rids), status=outcome, tenant=tenant
+            )
+            method = job.method or self.config.method
+            for _ in job.rids:
+                obs.note_request(
+                    tenant=tenant,
+                    fingerprint=job.fp,
+                    method=method,
+                    queue_wait_s=qwait,
+                    wall_s=wall,
+                    outcome=outcome,
+                    trace_id=trace_id,
+                )
+            obs.note_incident(outcome, trace_id=trace_id)
+            return
+        for res in results:
+            share = res.report
+            sim_s = prep_s + share.time_s
+            metrics.requests_total.inc(status="ok", tenant=tenant)
+            metrics.request_latency.observe(
+                wall, exemplar=trace_id, tenant=tenant
+            )
+            metrics.sim_latency.observe(sim_s, exemplar=trace_id, tenant=tenant)
+            if res.fallback:
+                metrics.fallbacks_total.inc()
             obs.note_request(
-                tenant=job.tenant,
+                tenant=tenant,
                 fingerprint=job.fp,
-                method=job.method or self.config.method,
+                method=res.method,
                 queue_wait_s=qwait,
                 wall_s=wall,
-                outcome=outcome,
-                trace_id=tid,
+                sim_s=sim_s,
+                digest=(
+                    f"{share.launches}l/"
+                    f"{len(getattr(share, 'kernels', ()) or ())}k"
+                ),
+                outcome="ok",
+                trace_id=trace_id,
             )
-        obs.note_incident(outcome, trace_id=tid)
 
     def _run_group_inner(
         self,
         job: _GroupJob,
         deadline: float | None,
         obs: Observability | None,
+        req_span,
         t0: float,
         fused: bool,
         bucket_n: int,
@@ -1274,22 +1243,29 @@ class SolveService:
         coalesced = len(job.rids)
         n_dev = cfg.n_devices
         dev_label = "0" if n_dev == 1 else f"0-{n_dev - 1}"
-        ncols0 = [1 if b.ndim == 1 else b.shape[1] for b in job.bs]
+        ncols = [1 if b.ndim == 1 else b.shape[1] for b in job.bs]
+        trace_id: int | None = None
+
+        def fail_records(
+            error: str | None, timed_out: bool = False, shed: bool = False
+        ) -> None:
+            wall = monotonic() - t0
+            for rid, k in zip(job.rids, ncols):
+                self._record(RequestRecord(
+                    request_id=rid, fingerprint=job.fp or "", method=method,
+                    n=A.n_rows, nnz=A.nnz, n_rhs=k, tenant=job.tenant,
+                    coalesced=coalesced, fused=fused, bucket=bucket_n,
+                    wall_time_s=wall, device=dev_label, trace_id=trace_id,
+                    error=error, timed_out=timed_out, shed_expired=shed,
+                ))
+
         if deadline is not None and monotonic() > deadline:
             # The deadline expired while the request sat in queue: shed
             # it *now*, before paying the fingerprint, cache lookup, and
             # solve it can no longer use.  Recorded as shed_expired — a
             # sub-category of timeouts distinct from mid-solve expiry
             # (the queue wait was already measured by the caller).
-            wall = monotonic() - t0
-            for rid, k in zip(job.rids, ncols0):
-                self._record(RequestRecord(
-                    request_id=rid, fingerprint=job.fp or "", method=method,
-                    n=A.n_rows, nnz=A.nnz, n_rhs=k, tenant=job.tenant,
-                    coalesced=coalesced, fused=fused, bucket=bucket_n,
-                    wall_time_s=wall, device=dev_label,
-                    timed_out=True, shed_expired=True,
-                ))
+            fail_records(None, timed_out=True, shed=True)
             if obs is not None:
                 obs.serve_metrics.ingress_sheds.inc(
                     len(job.rids), reason="expired", tenant=job.tenant
@@ -1301,27 +1277,8 @@ class SolveService:
             job.orient = triangle_orientation(A)
             job.fp, job.sfp, job.vfp = fingerprints(A, orientation=job.orient)
         fp = job.fp
-        ncols = ncols0
-        trace_id: int | None = None
-        if obs is not None:
-            current = obs.tracer.current()
-            if current is not None:
-                current.set(fingerprint=fp, n=A.n_rows, nnz=A.nnz,
-                            n_rhs=sum(ncols))
-                trace_id = current.trace_id
-
-        def fail_records(error: str | None, timed_out: bool = False) -> None:
-            wall = monotonic() - t0
-            for rid, k in zip(job.rids, ncols):
-                self._record(RequestRecord(
-                    request_id=rid, fingerprint=fp, method=method,
-                    n=A.n_rows, nnz=A.nnz, n_rhs=k, tenant=job.tenant,
-                    coalesced=coalesced,
-                    fused=fused, bucket=bucket_n,
-                    wall_time_s=wall, device=dev_label,
-                    trace_id=trace_id,
-                    error=error, timed_out=timed_out,
-                ))
+        req_span.set(fingerprint=fp, n=A.n_rows, nnz=A.nnz, n_rhs=sum(ncols))
+        trace_id = req_span.trace_id
 
         try:
             if method not in SOLVERS:
@@ -1330,12 +1287,9 @@ class SolveService:
                 )
             self._check_deadline(deadline)
             options = cfg.solver_options if method == cfg.method else {}
-            if cfg.structural_batching:
-                key = structure_key(
-                    job.sfp, method, cfg.device, options, A.data.dtype
-                )
-            else:
-                key = plan_key(fp, method, cfg.device, options)
+            key = structure_key(
+                job.sfp, method, cfg.device, options, A.data.dtype
+            )
             vfp = job.vfp
             from_store: list = []
 
@@ -1353,19 +1307,15 @@ class SolveService:
                     self._persist_pattern(key, job, method, pattern, obs)
                 return pattern
 
-            if obs is None:
+            with _span(obs, "serve.cache_lookup", method=method) as sp:
                 pattern, p_hit = self.cache.get_or_build(key, build)
                 entry, v_hit = pattern.overlay_for(vfp, A, self)
                 hit = p_hit and v_hit
-            else:
-                with obs.span("serve.cache_lookup", method=method) as sp:
-                    pattern, p_hit = self.cache.get_or_build(key, build)
-                    entry, v_hit = pattern.overlay_for(vfp, A, self)
-                    hit = p_hit and v_hit
-                    sp.set(
-                        result="hit" if hit else "miss",
-                        pattern="hit" if p_hit else "miss",
-                    )
+                sp.set(
+                    result="hit" if hit else "miss",
+                    pattern="hit" if p_hit else "miss",
+                )
+            if obs is not None:
                 obs.serve_metrics.cache_lookups.inc(
                     result="hit" if hit else "miss"
                 )
@@ -1380,23 +1330,16 @@ class SolveService:
             B = B0 if entry.perm is None else B0[entry.perm]
             total = B.shape[1]
             executor = entry.dist if entry.dist is not None else entry.prepared
-            if obs is None:
+            with _span(
+                obs, "serve.solve", method=entry.method, n_rhs=total,
+                n_devices=cfg.n_devices,
+            ) as sp:
                 if total == 1:
                     y, report = executor.solve(B[:, 0])
                     Y = y[:, None]
                 else:
                     Y, report = executor.solve_multi(B)
-            else:
-                with obs.span(
-                    "serve.solve", method=entry.method, n_rhs=total,
-                    n_devices=cfg.n_devices,
-                ) as sp:
-                    if total == 1:
-                        y, report = executor.solve(B[:, 0])
-                        Y = y[:, None]
-                    else:
-                        Y, report = executor.solve_multi(B)
-                    sp.set(sim_time_s=report.time_s, launches=report.launches)
+                sp.set(sim_time_s=report.time_s, launches=report.launches)
             if entry.perm is not None:
                 X = np.empty_like(Y)
                 X[entry.perm] = Y
@@ -1435,34 +1378,9 @@ class SolveService:
                     wall_time_s=wall, device=dev_label,
                     trace_id=trace_id,
                 ))
-                if obs is not None:
-                    metrics = obs.serve_metrics
-                    sim_s = prep_s + share.time_s
-                    metrics.requests_total.inc(
-                        status="ok", tenant=job.tenant
-                    )
-                    metrics.request_latency.observe(
-                        wall, exemplar=trace_id, tenant=job.tenant
-                    )
-                    metrics.sim_latency.observe(
-                        sim_s, exemplar=trace_id, tenant=job.tenant
-                    )
-                    if entry.fallback:
-                        metrics.fallbacks_total.inc()
-                    obs.note_request(
-                        tenant=job.tenant,
-                        fingerprint=fp,
-                        method=entry.method,
-                        queue_wait_s=qwait,
-                        wall_s=wall,
-                        sim_s=sim_s,
-                        digest=(
-                            f"{share.launches}l/"
-                            f"{len(getattr(share, 'kernels', ()) or ())}k"
-                        ),
-                        outcome="ok",
-                        trace_id=trace_id,
-                    )
+            self._note_outcome(
+                obs, job, "ok", wall, qwait, trace_id, results, prep_s
+            )
             return results, p_hit
         except ServiceTimeoutError:
             fail_records(None, timed_out=True)

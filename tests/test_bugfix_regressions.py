@@ -33,7 +33,7 @@ from repro.errors import ServiceOverloadedError
 from repro.gpu.device import TITAN_RTX_SCALED
 from repro.obs import Observability
 from repro.serve import ServiceConfig, ServiceTimeoutError, SolveRequest
-from repro.serve.fingerprint import plan_key
+from repro.serve.fingerprint import structure_key
 from repro.serve.stats import percentile
 from repro.serve.workload import Workload, mixed_workload
 from repro.validate import FaultInjector
@@ -321,12 +321,14 @@ class TestCacheFalsyValues:
 
 
 class TestPlanKeyCanonicalization:
-    """``plan_key`` hashed option values through ``repr``: numpy elides
+    """Cache keys hashed option values through ``repr``: numpy elides
     large arrays (distinct weights collided onto one cached plan) and
     ``repr(np.float64(2.0)) != repr(2.0)`` split equal options."""
 
     def _key(self, options):
-        return plan_key("fp", "recursive-block", TITAN_RTX_SCALED, options)
+        return structure_key(
+            "fp", "recursive-block", TITAN_RTX_SCALED, options, np.float64
+        )
 
     def test_large_arrays_with_identical_repr_do_not_collide(self):
         a = np.arange(5000, dtype=np.float64)

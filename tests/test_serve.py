@@ -23,8 +23,9 @@ from repro.serve import (
     SolveService,
     matrix_fingerprint,
     mixed_workload,
-    plan_key,
     replay,
+    structure_fingerprint,
+    structure_key,
 )
 from repro.gpu.device import TITAN_RTX_SCALED, TITAN_X_SCALED
 
@@ -47,12 +48,14 @@ class TestFingerprint:
         M = random_lower(60, 0.1, seed=2)
         assert matrix_fingerprint(L) != matrix_fingerprint(M)
 
-    def test_plan_key_separates_method_device_options(self):
-        fp = matrix_fingerprint(random_lower(30, 0.2, seed=3))
-        base = plan_key(fp, "recursive-block", TITAN_RTX_SCALED, {})
-        assert base != plan_key(fp, "levelset", TITAN_RTX_SCALED, {})
-        assert base != plan_key(fp, "recursive-block", TITAN_X_SCALED, {})
-        assert base != plan_key(fp, "recursive-block", TITAN_RTX_SCALED, {"depth": 2})
+    def test_structure_key_separates_method_device_options(self):
+        fp = structure_fingerprint(random_lower(30, 0.2, seed=3))
+        base = structure_key(fp, "recursive-block", TITAN_RTX_SCALED, {})
+        assert base != structure_key(fp, "levelset", TITAN_RTX_SCALED, {})
+        assert base != structure_key(fp, "recursive-block", TITAN_X_SCALED, {})
+        assert base != structure_key(
+            fp, "recursive-block", TITAN_RTX_SCALED, {"depth": 2}
+        )
 
 
 class TestPlanCache:

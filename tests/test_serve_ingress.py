@@ -1,6 +1,7 @@
 """Tests for the deadline-aware asyncio ingress (repro.serve.ingress)."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -36,6 +37,19 @@ def slow_service(delay_s: float, workers: int = 1, **cfg) -> SolveService:
         ServiceConfig(max_workers=workers, **cfg),
         fault_injector=FaultInjector(solve_delay_s=delay_s),
     )
+
+
+class _HeldSolves:
+    """Fault-injector hook that holds every solve until ``gate`` opens."""
+
+    def __init__(self, gate: threading.Event) -> None:
+        self.gate = gate
+
+    def before_build(self, method: str) -> None:
+        pass
+
+    def before_solve(self, method: str) -> None:
+        self.gate.wait(10.0)
 
 
 def one_class(limit: int, deadline_s=5.0, **over) -> IngressConfig:
@@ -206,18 +220,30 @@ class TestPriorityAndEDF:
         """Within one class, the tightest deadline runs first even when
         it arrived last."""
         L, b = system
-        svc = slow_service(0.03)
+        gate = threading.Event()
+        svc = SolveService(
+            ServiceConfig(max_workers=1), fault_injector=_HeldSolves(gate)
+        )
         order = []
 
         async def tracked(ing, deadline_s, tag):
             await ing.submit(L, b, deadline_s=deadline_s)
             order.append(tag)
 
+        async def until(cond):
+            async def poll():
+                while not cond():
+                    await asyncio.sleep(0.001)
+
+            await asyncio.wait_for(poll(), 10.0)
+
         async def main():
             cfg = one_class(limit=16, backpressure_s=0.0)
             async with AsyncSolveService(svc, config=cfg) as ing:
+                # The pinned solve holds the only worker until all three
+                # submissions are queued, so dispatch order is EDF order.
                 pin = asyncio.create_task(ing.submit(L, b))
-                await asyncio.sleep(0.01)
+                await until(lambda: ing.inflight == 1)
                 tasks = [
                     asyncio.create_task(tracked(ing, 9.0, "loose")),
                     asyncio.create_task(tracked(ing, 6.0, "mid")),
@@ -226,6 +252,8 @@ class TestPriorityAndEDF:
                 tasks.append(
                     asyncio.create_task(tracked(ing, 3.0, "tight"))
                 )
+                await until(lambda: ing.total_depth() == 3)
+                gate.set()
                 await asyncio.gather(pin, *tasks)
 
         run(main())

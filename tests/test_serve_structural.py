@@ -233,20 +233,6 @@ class TestStructuralService:
         for res, single in zip(out, singles):
             assert np.array_equal(res.x, single.x)
 
-    def test_structural_batching_off_restores_full_keying(self):
-        L = random_lower(100, 0.06, seed=25)
-        L2 = revalue(L, seed=26)
-        b = np.ones(100)
-        with SolveService(max_workers=1, structural_batching=False) as svc:
-            svc.solve(L, b)
-            r2 = svc.solve(L2, b)
-            out = svc.solve_batch([(L, b), (L2, b)])
-            recs = svc.records()
-        assert not r2.cache_hit
-        assert not any(r.pattern_hit for r in recs[:2])
-        assert len(out.buckets) == 2
-        assert out.fused_requests == 0
-
     def test_overlay_capacity_evicts_but_stays_correct(self):
         L = random_lower(80, 0.08, seed=27)
         variants = [revalue(L, seed=s) for s in range(28, 33)]
