@@ -57,8 +57,8 @@ import numpy as np
 from repro.errors import ShapeMismatchError
 from repro.gpu.device import DeviceModel
 from repro.gpu.report import KernelReport, SolveReport
-from repro.kernels.base import PreparedLower, solve_dtype
-from repro.core.plan import ExecutionPlan, TriSegment
+from repro.kernels.base import PreparedLower, rhs_width, solve_dtype
+from repro.core.plan import ExecutionPlan, TriSegment, run_segment
 from repro.obs import runtime as obs_runtime
 from repro.obs.clock import monotonic
 from repro.obs.trace import Span
@@ -136,10 +136,8 @@ class _GstrsEngine:
         if info:
             raise RuntimeError(f"SuperLU gstrs failed (info={info})")
         x = x.reshape(scratch.shape)
-        if x.ndim == 2:
-            np.multiply(x, self.invdiag[:, None], out=outseg, casting="unsafe")
-        else:
-            np.multiply(x, self.invdiag, out=outseg, casting="unsafe")
+        invdiag = self.invdiag if x.ndim == 1 else self.invdiag[:, None]
+        np.multiply(x, invdiag, out=outseg, casting="unsafe")
 
 
 # --------------------------------------------------------------------- #
@@ -297,12 +295,7 @@ class _TriStep:
             if engine is not None:
                 engine.solve_into(work[lo:hi], out[lo:hi], scratch[lo:hi])
                 return
-        kernel = self.kernel
-        numeric = (
-            kernel.solve_numeric if work.ndim == 1
-            else kernel.solve_numeric_multi
-        )
-        out[lo:hi] = numeric(self.aux, work[lo:hi], self.device)
+        out[lo:hi] = self.kernel.solve_numeric(self.aux, work[lo:hi], self.device)
 
 
 class _SpMVStep:
@@ -319,11 +312,7 @@ class _SpMVStep:
         self.kernel = seg.kernel
 
     def run(self, work, out, scratch) -> None:
-        kernel = self.kernel
-        numeric = (
-            kernel.run_numeric if work.ndim == 1 else kernel.run_numeric_multi
-        )
-        numeric(
+        self.kernel.run_numeric(
             self.matrix,
             out[self.col_lo:self.col_hi],
             work[self.row_lo:self.row_hi],
@@ -345,21 +334,7 @@ class _ReportingStep:
         self.device = device
 
     def run(self, work, out, scratch) -> KernelReport:
-        seg = self.seg
-        kernel = seg.kernel
-        multi = work.ndim == 2
-        if isinstance(seg, TriSegment):
-            solve = kernel.solve_multi if multi else kernel.solve
-            xs, rep = solve(seg.aux, work[seg.lo:seg.hi], self.device)
-            out[seg.lo:seg.hi] = xs
-            return rep
-        run = kernel.run_multi if multi else kernel.run
-        return run(
-            seg.matrix,
-            out[seg.col_lo:seg.col_hi],
-            work[seg.row_lo:seg.row_hi],
-            self.device,
-        )
+        return run_segment(self.seg, work, out, self.device)
 
 
 def _segment_prep(seg: TriSegment) -> PreparedLower | None:
@@ -569,8 +544,7 @@ class CompiledPlan:
         out = np.zeros(shape)
         plan = self.plan
         reports = [
-            plan._run_segment(seg, work, out, self.device, k > 0)
-            for seg in plan.segments
+            run_segment(seg, work, out, self.device) for seg in plan.segments
         ]
         return reports, plan._merge_reports(reports, k)
 
@@ -595,7 +569,7 @@ class CompiledPlan:
         the frozen pair, or for plans with non-pure steps a fresh pair
         with their live reports spliced in.
         """
-        k = 0 if B.ndim == 1 else B.shape[1]
+        k = rhs_width(B)
         # Before the steps touch the caller's data: a new width probes
         # on throwaway buffers, never on this solve's.
         frozen = self._frozen_for(k)
@@ -693,7 +667,7 @@ class CompiledPlan:
         X, (reports, merged) = self._execute(
             B, step_cb=lambda idx, t0, t1: times.append((t0, t1))
         )
-        k = 0 if B.ndim == 1 else B.shape[1]
+        k = rhs_width(B)
         rows, launch_totals, live_b, live_x = self._obs_static(k, reports)
         # Segment spans are leaves: parent/trace resolved once per solve
         # and handed to the tracer in one batched append.

@@ -29,10 +29,10 @@ import numpy as np
 from repro.errors import ShapeMismatchError
 from repro.gpu.device import DeviceModel
 from repro.gpu.report import KernelReport, SolveReport, merge_reports
-from repro.kernels.base import SpTRSVKernel, solve_dtype
+from repro.kernels.base import SpTRSVKernel, rhs_width, solve_dtype
 from repro.kernels.spmv import SpMVKernel
 
-__all__ = ["TriSegment", "SpMVSegment", "ExecutionPlan"]
+__all__ = ["TriSegment", "SpMVSegment", "ExecutionPlan", "run_segment"]
 
 
 @dataclass
@@ -74,6 +74,22 @@ class SpMVSegment:
         return self.col_hi - self.col_lo
 
 
+def run_segment(seg, work, out, device: DeviceModel) -> KernelReport:
+    """One segment through its kernel's reporting entry point: a
+    triangle solves ``work[lo:hi]`` into ``out[lo:hi]``, a square updates
+    ``work[rows] -= A @ out[cols]``.  Either RHS width."""
+    if isinstance(seg, TriSegment):
+        xs, rep = seg.kernel.solve(seg.aux, work[seg.lo : seg.hi], device)
+        out[seg.lo : seg.hi] = xs
+        return rep
+    return seg.kernel.run(
+        seg.matrix,
+        out[seg.col_lo : seg.col_hi],
+        work[seg.row_lo : seg.row_hi],
+        device,
+    )
+
+
 @dataclass
 class ExecutionPlan:
     """An ordered, preprocessed block-SpTRSV execution plan."""
@@ -88,25 +104,6 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _run_segment(self, seg, work, out, device: DeviceModel, multi: bool):
-        """Execute one segment against the shared work/out buffers."""
-        if isinstance(seg, TriSegment):
-            if multi:
-                xs, rep = seg.kernel.solve_multi(
-                    seg.aux, work[seg.lo : seg.hi], device
-                )
-            else:
-                xs, rep = seg.kernel.solve(seg.aux, work[seg.lo : seg.hi], device)
-            out[seg.lo : seg.hi] = xs
-            return rep
-        run = seg.kernel.run_multi if multi else seg.kernel.run
-        return run(
-            seg.matrix,
-            out[seg.col_lo : seg.col_hi],
-            work[seg.row_lo : seg.row_hi],
-            device,
-        )
-
     def _merge_reports(self, reports: list, k: int) -> SolveReport:
         """One solve's report from its per-segment reports; ``k`` is the
         RHS width of a fused solve, 0 for a single vector."""
@@ -128,16 +125,12 @@ class ExecutionPlan:
             solve_dtype(B), copy=True
         )
         X = np.zeros_like(work)
-        multi = B.ndim == 2
-        reports = [
-            self._run_segment(seg, work, X, device, multi)
-            for seg in self.segments
-        ]
+        reports = [run_segment(seg, work, X, device) for seg in self.segments]
         if self.perm is not None:
             out = np.empty_like(X)
             out[self.perm] = X
             X = out
-        return X, self._merge_reports(reports, B.shape[1] if multi else 0)
+        return X, self._merge_reports(reports, rhs_width(B))
 
     def solve(self, b: np.ndarray, device: DeviceModel) -> tuple[np.ndarray, SolveReport]:
         """Run the plan; returns the solution in *original* row order."""

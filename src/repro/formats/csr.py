@@ -237,14 +237,18 @@ class CSRMatrix:
     # Numerics
     # ------------------------------------------------------------------ #
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``y = A @ x`` via a segmented sum (no SciPy)."""
+        """``y = A @ x`` via a segmented sum (no SciPy).
+
+        ``x`` may also be an ``(n_cols, k)`` block; each column is summed
+        exactly as the 1-D product of that column.
+        """
         x = np.asarray(x)
         if x.shape[0] != self.n_cols:
             raise ShapeMismatchError(
                 f"matvec: matrix has {self.n_cols} cols, x has {x.shape[0]}"
             )
-        products = self.data * x[self.indices]
-        y = segment_sums(products, self.indptr)
+        data = self.data if x.ndim == 1 else self.data[:, None]
+        y = segment_sums(data * x[self.indices], self.indptr)
         if out is not None:
             out[:] = y
             return out
@@ -257,11 +261,7 @@ class CSRMatrix:
             raise ShapeMismatchError(
                 f"matmat: matrix has {self.n_cols} cols, X is {X.shape}"
             )
-        products = self.data[:, None] * X[self.indices]
-        out = np.zeros((self.n_rows, X.shape[1]), dtype=products.dtype)
-        row_ids = np.repeat(np.arange(self.n_rows), self.row_counts())
-        np.add.at(out, row_ids, products)
-        return out
+        return self.matvec(X)
 
     def diagonal(self) -> np.ndarray:
         """Stored main-diagonal values (0 where absent)."""

@@ -127,22 +127,25 @@ class DCSRMatrix:
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``y = A @ x``; only active rows produce output.
 
-        ``out``, when given, is *overwritten* (zeroed first, then the
-        active rows are written) — the same semantics as allocating a
-        fresh result.  It must have shape ``(n_rows,)``; callers that
-        want accumulation must add the result themselves.
+        ``x`` may also be an ``(n_cols, k)`` block; each column is summed
+        exactly as the 1-D product of that column.  ``out``, when given,
+        is *overwritten* (zeroed first, then the active rows are
+        written) — the same semantics as allocating a fresh result.  It
+        must have the result's shape; callers that want accumulation
+        must add the result themselves.
         """
         x = np.asarray(x)
         if x.shape[0] != self.n_cols:
             raise ShapeMismatchError("matvec length mismatch")
-        if out is not None and out.shape != (self.n_rows,):
+        shape = (self.n_rows,) + x.shape[1:]
+        if out is not None and out.shape != shape:
             raise ShapeMismatchError(
-                f"out has shape {out.shape}, expected ({self.n_rows},)"
+                f"out has shape {out.shape}, expected {shape}"
             )
-        products = self.data * x[self.indices]
-        active_sums = segment_sums(products, self.indptr)
+        data = self.data if x.ndim == 1 else self.data[:, None]
+        active_sums = segment_sums(data * x[self.indices], self.indptr)
         y = out if out is not None else np.zeros(
-            self.n_rows, dtype=np.result_type(self.data, x)
+            shape, dtype=np.result_type(self.data, x)
         )
         if out is not None:
             y[:] = 0
@@ -154,11 +157,7 @@ class DCSRMatrix:
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[0] != self.n_cols:
             raise ShapeMismatchError("matmat shape mismatch")
-        products = self.data[:, None] * X[self.indices]
-        out = np.zeros((self.n_rows, X.shape[1]), dtype=products.dtype)
-        active_rows = np.repeat(self.row_ids.astype(np.int64), np.diff(self.indptr))
-        np.add.at(out, active_rows, products)
-        return out
+        return self.matvec(X)
 
     def to_dense(self) -> np.ndarray:
         return self.to_csr().to_dense()

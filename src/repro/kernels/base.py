@@ -7,8 +7,12 @@ GPU workflow:
 * ``preprocess(prep, device)`` — returns kernel-specific auxiliary data
   plus a :class:`KernelReport` with the *simulated* preprocessing time
   (what Table 5 measures);
-* ``solve(aux, b, device)`` — returns the exact solution and a
-  :class:`KernelReport` with the simulated solve time.
+* the solve, as two width-agnostic halves: ``solve_numeric(aux, b,
+  device)`` returns the exact solution for ``b`` of shape ``(n,)`` or
+  ``(n, k)``, and ``report(aux, device, k)`` returns the simulated
+  :class:`KernelReport` of that solve without running it (``k == 0``
+  means a single 1-D vector; ``k >= 1`` a fused block of ``k`` columns,
+  the multi-RHS formulation of [50]).  ``solve`` returns both.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "index_bytes",
     "solve_flops",
     "solve_dtype",
+    "rhs_width",
 ]
 
 #: bytes of one column/row index on device (int32, as in the paper's CSR)
@@ -106,15 +111,20 @@ def prepare_lower(L: CSRMatrix) -> PreparedLower:
 
 
 class SpTRSVKernel(ABC):
-    """Interface of a simulated SpTRSV kernel."""
+    """Interface of a simulated SpTRSV kernel.
+
+    Built-in kernels implement :meth:`solve_numeric` and :meth:`report`
+    and inherit :meth:`solve`.  A third-party kernel may instead
+    override :meth:`solve` alone; it must then accept both RHS widths.
+    """
 
     #: short identifier used by the adaptive selector and reports
     name: str = "abstract"
-    #: True when :meth:`solve`'s report is a pure function of
-    #: ``(aux, device, n_rhs)`` — independent of the right-hand side
-    #: values — so a compiled plan may freeze one report per segment and
-    #: reuse it across solves.  All built-in kernels qualify; external
-    #: kernels must opt in explicitly.
+    #: True when :meth:`report` is a pure function of ``(aux, device,
+    #: k)`` — independent of the right-hand side values — so a compiled
+    #: plan may freeze one report per segment and reuse it across
+    #: solves.  All built-in kernels qualify; external kernels must opt
+    #: in explicitly.
     pure_report: bool = False
 
     @abstractmethod
@@ -123,55 +133,32 @@ class SpTRSVKernel(ABC):
     ) -> tuple[object, KernelReport]:
         """Build auxiliary structures; report simulated preprocessing time."""
 
-    @abstractmethod
+    def solve_numeric(
+        self, aux: object, b: np.ndarray, device: DeviceModel
+    ) -> np.ndarray:
+        """Solve ``L x = b`` exactly, with no report; ``b`` is ``(n,)`` or
+        ``(n, k)``.
+
+        The compiled executor's hot path.  The default serves kernels
+        that override only :meth:`solve` and drops its report.
+        """
+        if type(self).solve is SpTRSVKernel.solve:
+            raise NotImplementedError(
+                f"{type(self).__name__} must override solve_numeric or solve"
+            )
+        return self.solve(aux, b, device)[0]
+
+    def report(self, aux: object, device: DeviceModel, k: int) -> KernelReport:
+        """The simulated report of one solve at RHS width ``k`` (0 = one
+        1-D vector), without running the numerics."""
+        raise NotImplementedError(f"{type(self).__name__} has no report()")
+
     def solve(
         self, aux: object, b: np.ndarray, device: DeviceModel
     ) -> tuple[np.ndarray, KernelReport]:
         """Solve ``L x = b`` exactly; report simulated solve time."""
-
-    def solve_numeric(
-        self, aux: object, b: np.ndarray, device: DeviceModel
-    ) -> np.ndarray:
-        """Numerics only: the solution without constructing a report.
-
-        The compiled executor's hot path.  The default delegates to
-        :meth:`solve` and drops the report; built-in kernels override it
-        to skip report construction entirely.
-        """
-        return self.solve(aux, b, device)[0]
-
-    def solve_numeric_multi(
-        self, aux: object, B: np.ndarray, device: DeviceModel
-    ) -> np.ndarray:
-        """Multi-RHS numerics only (see :meth:`solve_numeric`)."""
-        return self.solve_multi(aux, B, device)[0]
-
-    def solve_multi(
-        self, aux: object, B: np.ndarray, device: DeviceModel
-    ) -> tuple[np.ndarray, KernelReport]:
-        """Solve for a block of right-hand sides.
-
-        Default: one kernel invocation per column (time adds up).
-        Kernels with a fused multi-RHS formulation override this to
-        stream the matrix once per level/launch (see [50] for the
-        Sync-free variant)."""
-        B = np.asarray(B)
-        cols = []
-        total = 0.0
-        report = None
-        for j in range(B.shape[1]):
-            x, report = self.solve(aux, B[:, j], device)
-            cols.append(x)
-            total += report.time_s
-        out = KernelReport(
-            report.kernel,
-            total,
-            launches=report.launches * B.shape[1],
-            flops=report.flops * B.shape[1],
-            bytes_moved=report.bytes_moved * B.shape[1],
-            detail={**report.detail, "n_rhs": B.shape[1], "fused": False},
-        )
-        return np.stack(cols, axis=1), out
+        x = self.solve_numeric(aux, b, device)
+        return x, self.report(aux, device, rhs_width(b))
 
     # Convenience single-shot path used by tests and calibration.
     def solve_system(
@@ -180,6 +167,19 @@ class SpTRSVKernel(ABC):
         prep = prepare_lower(L)
         aux, _ = self.preprocess(prep, device)
         return self.solve(aux, b, device)
+
+
+def rhs_width(b) -> int:
+    """The RHS width convention of every ``report``: 0 for a 1-D vector,
+    ``k`` for an ``(n, k)`` block."""
+    shape = np.shape(b)
+    return 0 if len(shape) == 1 else shape[1]
+
+
+def width_detail(detail: dict, k: int, fused: bool = True) -> dict:
+    """A report's ``detail`` at RHS width ``k``: blocks add ``n_rhs`` and
+    whether the kernel fuses the columns."""
+    return detail if k == 0 else {**detail, "n_rhs": k, "fused": fused}
 
 
 def reference_dense_solve(L: CSRMatrix, b: np.ndarray) -> np.ndarray:

@@ -19,10 +19,14 @@ storage, which the cost model prices:
   which is why its DCSR crossover sits at a much lower empty ratio
   (Figure 5(b): 15% vs 50%).
 
-Every kernel also supports a **fused multi-RHS** update (``run_multi``):
-the matrix arrays stream once per call while vector traffic and
-arithmetic scale with the RHS count — the amortization behind the
-multi-RHS solve phases the paper's introduction motivates.
+Every entry point takes either RHS width: ``x``/``b`` of shape ``(n,)``
+or an ``(n, k)`` block, the **fused multi-RHS** update in which the
+matrix arrays stream once per call while vector traffic and arithmetic
+scale with ``k`` — the amortization behind the multi-RHS solve phases
+the paper's introduction motivates.  Column ``j`` of a block update is
+summed exactly as the single-vector update of that column.
+``report(A, device, k)`` prices one call at width ``k`` (0 = one 1-D
+vector) without running it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.formats.dcsr import DCSRMatrix
 from repro.gpu.cost import CostModel
 from repro.gpu.device import DeviceModel
 from repro.gpu.report import KernelReport
-from repro.kernels.base import INDEX_BYTES, PTR_BYTES
+from repro.kernels.base import INDEX_BYTES, PTR_BYTES, rhs_width
 
 __all__ = [
     "SpMVKernel",
@@ -97,32 +101,25 @@ class SpMVKernel(ABC):
         """
         b -= A.matvec(x).astype(b.dtype, copy=False)
 
-    def run_numeric_multi(self, A, X: np.ndarray, B: np.ndarray) -> None:
-        """Fused ``B -= A @ X`` without checks or a report."""
-        B -= A.matmat(X).astype(B.dtype, copy=False)
+    #: Kept only for ``perfbench/layers.py``, which wraps this name by
+    #: ``getattr``; nothing in the package calls it.
+    run_numeric_multi = run_numeric
 
     def run(
         self, A, x: np.ndarray, b: np.ndarray, device: DeviceModel
     ) -> KernelReport:
-        """``b -= A @ x`` plus the simulated single-RHS timing."""
-        if A.shape[1] != len(x) or A.shape[0] != len(b):
+        """``b -= A @ x`` plus the simulated timing of the call."""
+        x = np.asarray(x)
+        if (
+            x.ndim not in (1, 2)
+            or A.shape[1] != x.shape[0]
+            or (A.shape[0],) + x.shape[1:] != b.shape
+        ):
             raise ShapeMismatchError(
-                f"spmv: A is {A.shape}, x has {len(x)}, b has {len(b)}"
+                f"spmv: A is {A.shape}, x is {x.shape}, b is {b.shape}"
             )
         b -= A.matvec(x).astype(b.dtype, copy=False)
-        return self._report(A, device, n_rhs=1)
-
-    def run_multi(
-        self, A, X: np.ndarray, B: np.ndarray, device: DeviceModel
-    ) -> KernelReport:
-        """Fused ``B -= A @ X`` for a block of right-hand sides."""
-        X = np.asarray(X)
-        if X.ndim != 2 or A.shape[1] != X.shape[0] or A.shape[0] != B.shape[0]:
-            raise ShapeMismatchError(
-                f"spmv multi: A is {A.shape}, X is {X.shape}, B is {B.shape}"
-            )
-        B -= A.matmat(X).astype(B.dtype, copy=False)
-        return self._report(A, device, n_rhs=X.shape[1])
+        return self.report(A, device, rhs_width(x))
 
     # ------------------------------------------------------------------ #
     # Simulated cost
@@ -131,12 +128,11 @@ class SpMVKernel(ABC):
     def _cost(self, A, device: DeviceModel, n_rhs: int) -> tuple[float, dict]:
         """Simulated time of one (possibly fused) kernel call."""
 
-    def report(self, A, device: DeviceModel, n_rhs: int = 1) -> KernelReport:
-        """The simulated report of one (possibly fused) update, without
-        running the numerics — what a compiled plan freezes per segment."""
-        return self._report(A, device, n_rhs)
-
-    def _report(self, A, device: DeviceModel, n_rhs: int) -> KernelReport:
+    def report(self, A, device: DeviceModel, k: int = 0) -> KernelReport:
+        """The simulated report of one update at RHS width ``k`` (0 = one
+        1-D vector), without running the numerics — what a compiled
+        plan freezes per segment."""
+        n_rhs = max(k, 1)
         time, detail = self._cost(A, device, n_rhs)
         return KernelReport(
             f"spmv-{self.name}",

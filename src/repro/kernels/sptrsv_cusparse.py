@@ -26,14 +26,14 @@ import numpy as np
 from repro.gpu.cost import CostModel
 from repro.gpu.device import DeviceModel
 from repro.gpu.report import KernelReport
-from repro.kernels.base import PreparedLower, SpTRSVKernel, solve_flops
-from repro.kernels.sptrsv_levelset import _sweep_cost
-from repro.kernels.sweep import (
-    LevelSchedule,
-    build_level_schedule,
-    sweep_solve,
-    sweep_solve_multi,
+from repro.kernels.base import (
+    PreparedLower,
+    SpTRSVKernel,
+    solve_flops,
+    width_detail,
 )
+from repro.kernels.sptrsv_levelset import _sweep_cost
+from repro.kernels.sweep import LevelSchedule, build_level_schedule, sweep_solve
 
 __all__ = ["CuSparseLikeKernel"]
 
@@ -77,11 +77,6 @@ class CuSparseLikeKernel(SpTRSVKernel):
     ) -> np.ndarray:
         return sweep_solve(aux.sched, b)
 
-    def solve_numeric_multi(
-        self, aux: _CuSparseAux, B: np.ndarray, device: DeviceModel
-    ) -> np.ndarray:
-        return sweep_solve_multi(aux.sched, B)
-
     def preprocess(
         self, prep: PreparedLower, device: DeviceModel
     ) -> tuple[_CuSparseAux, KernelReport]:
@@ -100,11 +95,12 @@ class CuSparseLikeKernel(SpTRSVKernel):
             detail={"nlevels": sched.nlevels},
         )
 
-    def solve(
-        self, aux: _CuSparseAux, b: np.ndarray, device: DeviceModel
-    ) -> tuple[np.ndarray, KernelReport]:
-        x = sweep_solve(aux.sched, b)
-        key = ("cusparse", device.name, aux.sched.prep.value_bytes)
+    def report(
+        self, aux: _CuSparseAux, device: DeviceModel, k: int
+    ) -> KernelReport:
+        """One persistent launch; a block of ``k`` columns is the
+        csrsm2-style fused solve (matrix streamed once per level)."""
+        key = ("cusparse", device.name, aux.sched.prep.value_bytes, k)
         cached = aux.sched._cost_cache.get(key)
         if cached is None:
             prep = aux.sched.prep
@@ -112,7 +108,7 @@ class CuSparseLikeKernel(SpTRSVKernel):
                 prep.n > 0
                 and prep.strict.nnz / prep.n < THIN_MATRIX_STRICT_NNZ_ROW
             )
-            time, nbytes = _sweep_cost(
+            cached = _sweep_cost(
                 aux.sched,
                 device,
                 vector_mode=True,  # csrsv2 processes rows warp-wide
@@ -120,44 +116,15 @@ class CuSparseLikeKernel(SpTRSVKernel):
                 fixed_overhead_s=CALL_OVERHEAD_S + device.launch_overhead_s,
                 mem_factor=MEM_FACTOR,
                 thin_row_pipeline_s=THIN_ROW_PIPELINE_S if hypersparse else 0.0,
+                n_rhs=max(k, 1),
             )
-            cached = (time, nbytes)
             aux.sched._cost_cache[key] = cached
         time, nbytes = cached
-        return x, KernelReport(
+        return KernelReport(
             "sptrsv-cusparse",
             time,
             launches=1,
-            flops=solve_flops(aux.sched.prep.nnz),
+            flops=solve_flops(aux.sched.prep.nnz) * max(k, 1),
             bytes_moved=nbytes,
-            detail={"nlevels": aux.sched.nlevels},
-        )
-
-    def solve_multi(
-        self, aux: _CuSparseAux, B: np.ndarray, device: DeviceModel
-    ) -> tuple[np.ndarray, KernelReport]:
-        """csrsm2-style fused block solve (matrix streamed once/level)."""
-        X = sweep_solve_multi(aux.sched, B)
-        k = B.shape[1]
-        prep = aux.sched.prep
-        hypersparse = (
-            prep.n > 0 and prep.strict.nnz / prep.n < THIN_MATRIX_STRICT_NNZ_ROW
-        )
-        time, nbytes = _sweep_cost(
-            aux.sched,
-            device,
-            vector_mode=True,
-            step_overhead_s=LEVEL_STEP_S,
-            fixed_overhead_s=CALL_OVERHEAD_S + device.launch_overhead_s,
-            mem_factor=MEM_FACTOR,
-            thin_row_pipeline_s=THIN_ROW_PIPELINE_S if hypersparse else 0.0,
-            n_rhs=k,
-        )
-        return X, KernelReport(
-            "sptrsv-cusparse",
-            time,
-            launches=1,
-            flops=solve_flops(prep.nnz) * k,
-            bytes_moved=nbytes,
-            detail={"nlevels": aux.sched.nlevels, "n_rhs": k, "fused": True},
+            detail=width_detail({"nlevels": aux.sched.nlevels}, k),
         )

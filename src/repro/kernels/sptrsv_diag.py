@@ -15,7 +15,12 @@ from repro.errors import NotTriangularError
 from repro.gpu.cost import CostModel
 from repro.gpu.device import DeviceModel
 from repro.gpu.report import KernelReport
-from repro.kernels.base import PreparedLower, SpTRSVKernel, solve_flops
+from repro.kernels.base import (
+    PreparedLower,
+    SpTRSVKernel,
+    solve_flops,
+    width_detail,
+)
 
 __all__ = ["DiagonalKernel"]
 
@@ -29,12 +34,8 @@ class DiagonalKernel(SpTRSVKernel):
     def solve_numeric(
         self, aux: PreparedLower, b: np.ndarray, device: DeviceModel
     ) -> np.ndarray:
-        return np.asarray(b) / aux.diag
-
-    def solve_numeric_multi(
-        self, aux: PreparedLower, B: np.ndarray, device: DeviceModel
-    ) -> np.ndarray:
-        return np.asarray(B) / aux.diag[:, None]
+        b = np.asarray(b)
+        return b / (aux.diag if b.ndim == 1 else aux.diag[:, None])
 
     def preprocess(
         self, prep: PreparedLower, device: DeviceModel
@@ -46,43 +47,22 @@ class DiagonalKernel(SpTRSVKernel):
             )
         return prep, KernelReport("diagonal-preprocess", 0.0, launches=0)
 
-    def solve(
-        self, aux: PreparedLower, b: np.ndarray, device: DeviceModel
-    ) -> tuple[np.ndarray, KernelReport]:
-        x = np.asarray(b) / aux.diag
+    def report(
+        self, aux: PreparedLower, device: DeviceModel, k: int
+    ) -> KernelReport:
+        # One block divide: the diagonal streams once for all RHS.
+        n_rhs = max(k, 1)
         cost = CostModel(device)
         vb = aux.value_bytes
-        nbytes = 3.0 * aux.n * vb  # read b and d, write x — all coalesced
+        nbytes = aux.n * vb * (1 + 2.0 * n_rhs)  # d once; b read, x write
         time = cost.launch_time() + cost.kernel_time(
-            cost.stream_time(nbytes), cost.compute_time(aux.n, aux.n)
+            cost.stream_time(nbytes), cost.compute_time(aux.n * n_rhs, aux.n)
         )
-        return x, KernelReport(
+        return KernelReport(
             "sptrsv-diagonal",
             time,
             launches=1,
-            flops=solve_flops(aux.nnz),
+            flops=solve_flops(aux.nnz) * n_rhs,
             bytes_moved=nbytes,
-            detail={"n": aux.n},
-        )
-
-    def solve_multi(
-        self, aux: PreparedLower, B: np.ndarray, device: DeviceModel
-    ) -> tuple[np.ndarray, KernelReport]:
-        """Fused block divide: the diagonal streams once for all RHS."""
-        B = np.asarray(B)
-        X = B / aux.diag[:, None]
-        k = B.shape[1]
-        cost = CostModel(device)
-        vb = aux.value_bytes
-        nbytes = aux.n * vb * (1 + 2.0 * k)  # d once; B read, X write per RHS
-        time = cost.launch_time() + cost.kernel_time(
-            cost.stream_time(nbytes), cost.compute_time(aux.n * k, aux.n)
-        )
-        return X, KernelReport(
-            "sptrsv-diagonal",
-            time,
-            launches=1,
-            flops=solve_flops(aux.nnz) * k,
-            bytes_moved=nbytes,
-            detail={"n": aux.n, "n_rhs": k, "fused": True},
+            detail=width_detail({"n": aux.n}, k),
         )

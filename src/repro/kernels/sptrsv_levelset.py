@@ -27,12 +27,7 @@ from repro.kernels.base import (
     SpTRSVKernel,
     solve_flops,
 )
-from repro.kernels.sweep import (
-    LevelSchedule,
-    build_level_schedule,
-    sweep_solve,
-    sweep_solve_multi,
-)
+from repro.kernels.sweep import LevelSchedule, build_level_schedule, sweep_solve
 
 __all__ = ["LevelSetKernel"]
 
@@ -188,11 +183,6 @@ class LevelSetKernel(SpTRSVKernel):
     ) -> np.ndarray:
         return sweep_solve(aux.sched, b)
 
-    def solve_numeric_multi(
-        self, aux: _LevelSetAux, B: np.ndarray, device: DeviceModel
-    ) -> np.ndarray:
-        return sweep_solve_multi(aux.sched, B)
-
     def preprocess(
         self, prep: PreparedLower, device: DeviceModel
     ) -> tuple[_LevelSetAux, KernelReport]:
@@ -218,60 +208,37 @@ class LevelSetKernel(SpTRSVKernel):
             detail={"nlevels": sched.nlevels, "merged": self.merge_levels},
         )
 
-    def solve(
-        self, aux: _LevelSetAux, b: np.ndarray, device: DeviceModel
-    ) -> tuple[np.ndarray, KernelReport]:
-        x = sweep_solve(aux.sched, b)
+    def report(
+        self, aux: _LevelSetAux, device: DeviceModel, k: int
+    ) -> KernelReport:
+        """One launch per level (per merged group of levels); a block of
+        ``k`` columns is fused, so each launch serves every column."""
         merged = aux.group_ptr is not None
-        key = ("levelset", device.name, aux.sched.prep.value_bytes, merged)
+        key = ("levelset", device.name, aux.sched.prep.value_bytes, merged, k)
         cached = aux.sched._cost_cache.get(key)
         if cached is None:
-            time, nbytes = _sweep_cost(
+            cached = _sweep_cost(
                 aux.sched,
                 device,
                 vector_mode=aux.vector_mode,
                 step_overhead_s=device.launch_overhead_s,
                 fixed_overhead_s=0.0,
+                n_rhs=max(k, 1),
                 group_ptr=aux.group_ptr,
             )
-            cached = (time, nbytes)
             aux.sched._cost_cache[key] = cached
         time, nbytes = cached
-        launches = (
-            len(aux.group_ptr) - 1 if merged else aux.sched.nlevels
-        )
-        return x, KernelReport(
+        nlevels = aux.sched.nlevels
+        return KernelReport(
             "sptrsv-levelset",
             time,
-            launches=launches,
-            flops=solve_flops(aux.sched.prep.nnz),
+            launches=len(aux.group_ptr) - 1 if merged else nlevels,
+            flops=solve_flops(aux.sched.prep.nnz) * max(k, 1),
             bytes_moved=nbytes,
-            detail={
-                "nlevels": aux.sched.nlevels,
-                "vector_mode": aux.vector_mode,
-                "merged": merged,
-            },
-        )
-
-    def solve_multi(
-        self, aux: _LevelSetAux, B: np.ndarray, device: DeviceModel
-    ) -> tuple[np.ndarray, KernelReport]:
-        """Fused multi-RHS sweep: one launch per level for all columns."""
-        X = sweep_solve_multi(aux.sched, B)
-        k = B.shape[1]
-        time, nbytes = _sweep_cost(
-            aux.sched,
-            device,
-            vector_mode=aux.vector_mode,
-            step_overhead_s=device.launch_overhead_s,
-            fixed_overhead_s=0.0,
-            n_rhs=k,
-        )
-        return X, KernelReport(
-            "sptrsv-levelset",
-            time,
-            launches=aux.sched.nlevels,
-            flops=solve_flops(aux.sched.prep.nnz) * k,
-            bytes_moved=nbytes,
-            detail={"nlevels": aux.sched.nlevels, "n_rhs": k, "fused": True},
+            detail=(
+                {"nlevels": nlevels, "vector_mode": aux.vector_mode,
+                 "merged": merged}
+                if k == 0
+                else {"nlevels": nlevels, "n_rhs": k, "fused": True}
+            ),
         )

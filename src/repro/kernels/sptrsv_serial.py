@@ -9,6 +9,8 @@ only to show why nobody runs SpTRSV that way).
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from repro.errors import ShapeMismatchError
@@ -22,16 +24,25 @@ from repro.kernels.base import (
     prepare_lower,
     solve_dtype,
     solve_flops,
+    width_detail,
 )
 
 __all__ = ["solve_serial", "SerialKernel"]
 
 
 def solve_serial(L: CSRMatrix, b: np.ndarray) -> np.ndarray:
-    """Algorithm 1 verbatim (lines 2-8), on a sorted-index CSR matrix."""
+    """Algorithm 1 verbatim (lines 2-8), on a sorted-index CSR matrix.
+
+    An ``(n, k)`` block is solved one column at a time.
+    """
+    b = np.asarray(b)
+    if b.ndim == 2:
+        x = np.empty(b.shape, dtype=solve_dtype(L.data, b))
+        for j in range(b.shape[1]):
+            x[:, j] = solve_serial(L, b[:, j])
+        return x
     L = L.sort_indices()
     n = L.n_rows
-    b = np.asarray(b)
     if b.shape[0] != n:
         raise ShapeMismatchError("b length mismatch")
     row_ptr = L.indptr.tolist()
@@ -57,34 +68,27 @@ class SerialKernel(SpTRSVKernel):
     ) -> np.ndarray:
         return solve_serial(aux.L, b)
 
-    def solve_numeric_multi(
-        self, aux: PreparedLower, B: np.ndarray, device: DeviceModel
-    ) -> np.ndarray:
-        B = np.asarray(B)
-        return np.stack(
-            [solve_serial(aux.L, B[:, j]) for j in range(B.shape[1])], axis=1
-        )
-
     def preprocess(
         self, prep: PreparedLower, device: DeviceModel
     ) -> tuple[PreparedLower, KernelReport]:
         # Nothing to build: CSR is consumed as-is.
         return prep, KernelReport("serial-preprocess", 0.0, launches=0)
 
-    def solve(
-        self, aux: PreparedLower, b: np.ndarray, device: DeviceModel
-    ) -> tuple[np.ndarray, KernelReport]:
-        x = solve_serial(aux.L, b)
+    def report(
+        self, aux: PreparedLower, device: DeviceModel, k: int
+    ) -> KernelReport:
         cost = CostModel(device)
         # One thread, fully dependent chain: every nonzero costs a
         # latency-bound load plus an FMA.
         time = cost.launch_time() + aux.nnz * (
             device.dram_latency_s * 0.25 + cost.serial_cycles_time(8)
         )
-        return x, KernelReport(
+        n_calls = max(k, 1)
+        # A block is not fused: one call per column, times added up.
+        return KernelReport(
             "sptrsv-serial",
-            time,
-            launches=1,
-            flops=solve_flops(aux.nnz),
-            detail={"n": aux.n},
+            sum(repeat(time, n_calls)),
+            launches=n_calls,
+            flops=solve_flops(aux.nnz) * n_calls,
+            detail=width_detail({"n": aux.n}, k, fused=False),
         )

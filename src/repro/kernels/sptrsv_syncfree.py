@@ -40,13 +40,9 @@ from repro.kernels.base import (
     PreparedLower,
     SpTRSVKernel,
     solve_flops,
+    width_detail,
 )
-from repro.kernels.sweep import (
-    LevelSchedule,
-    build_level_schedule,
-    sweep_solve,
-    sweep_solve_multi,
-)
+from repro.kernels.sweep import LevelSchedule, build_level_schedule, sweep_solve
 
 __all__ = ["SyncFreeKernel"]
 
@@ -95,11 +91,6 @@ class SyncFreeKernel(SpTRSVKernel):
         self, aux: _SyncFreeAux, b: np.ndarray, device: DeviceModel
     ) -> np.ndarray:
         return sweep_solve(aux.sched, b)
-
-    def solve_numeric_multi(
-        self, aux: _SyncFreeAux, B: np.ndarray, device: DeviceModel
-    ) -> np.ndarray:
-        return sweep_solve_multi(aux.sched, B)
 
     def preprocess(
         self, prep: PreparedLower, device: DeviceModel
@@ -163,42 +154,23 @@ class SyncFreeKernel(SpTRSVKernel):
         time = cost.launch_time() + max(makespan, roofline, cost.kernel_floor())
         return time, float(nbytes)
 
-    def solve(
-        self, aux: _SyncFreeAux, b: np.ndarray, device: DeviceModel
-    ) -> tuple[np.ndarray, KernelReport]:
-        x = sweep_solve(aux.sched, b)
-        key = (device.name, aux.sched.prep.value_bytes)
+    def report(
+        self, aux: _SyncFreeAux, device: DeviceModel, k: int
+    ) -> KernelReport:
+        """One launch; a block of ``k`` columns is the fused multi-RHS
+        Sync-free algorithm of [50]."""
+        n_rhs = max(k, 1)
+        key = (device.name, aux.sched.prep.value_bytes, n_rhs)
         cached = aux._cost_cache.get(key)
         if cached is None:
-            cached = self._simulate(aux, device)
+            cached = self._simulate(aux, device, n_rhs=n_rhs)
             aux._cost_cache[key] = cached
         time, nbytes = cached
-        return x, KernelReport(
+        return KernelReport(
             "sptrsv-syncfree",
             time,
             launches=1,
-            flops=solve_flops(aux.sched.prep.nnz),
+            flops=solve_flops(aux.sched.prep.nnz) * n_rhs,
             bytes_moved=nbytes,
-            detail={"nlevels": aux.sched.nlevels},
-        )
-
-    def solve_multi(
-        self, aux: _SyncFreeAux, B: np.ndarray, device: DeviceModel
-    ) -> tuple[np.ndarray, KernelReport]:
-        """The fused multi-RHS Sync-free algorithm of [50]."""
-        X = sweep_solve_multi(aux.sched, B)
-        k = B.shape[1]
-        key = (device.name, aux.sched.prep.value_bytes, k)
-        cached = aux._cost_cache.get(key)
-        if cached is None:
-            cached = self._simulate(aux, device, n_rhs=k)
-            aux._cost_cache[key] = cached
-        time, nbytes = cached
-        return X, KernelReport(
-            "sptrsv-syncfree",
-            time,
-            launches=1,
-            flops=solve_flops(aux.sched.prep.nnz) * k,
-            bytes_moved=nbytes,
-            detail={"nlevels": aux.sched.nlevels, "n_rhs": k, "fused": True},
+            detail=width_detail({"nlevels": aux.sched.nlevels}, k),
         )

@@ -9,6 +9,12 @@ runs a handful of NumPy calls per level and no per-entry Python work.
 All three level-ordered kernels (level-set, cuSPARSE stand-in, and the
 numeric side of Sync-free) share this machinery; they differ only in their
 simulated cost models.
+
+:func:`sweep_solve` takes one right-hand side or a block of ``k``: the
+fused multi-RHS execution of Liu et al.'s follow-up [50], where the
+matrix streams once per level whatever the RHS count.  Each column of a
+block is summed exactly as a single vector is, so column ``j`` of a
+fused solve equals the single-vector solve of ``B[:, j]`` bit for bit.
 """
 
 from __future__ import annotations
@@ -20,13 +26,17 @@ import numpy as np
 from repro.errors import ShapeMismatchError
 from repro.graph.levels import cached_levels, level_sets
 from repro.kernels.base import PreparedLower, solve_dtype
-from repro.utils.arrays import counts_to_indptr, gather_row_ranges, segment_ids
+from repro.utils.arrays import (
+    bincount_sums,
+    counts_to_indptr,
+    gather_row_ranges,
+    segment_ids,
+)
 
 __all__ = [
     "LevelSchedule",
     "build_level_schedule",
     "sweep_solve",
-    "sweep_solve_multi",
 ]
 
 
@@ -114,63 +124,35 @@ def build_level_schedule(
 
 
 def sweep_solve(sched: LevelSchedule, b: np.ndarray) -> np.ndarray:
-    """Exact forward substitution, one vectorized step per level."""
+    """Exact forward substitution, one vectorized step per level.
+
+    ``b`` is a vector of length ``n`` or an ``(n, k)`` block.
+    """
     prep = sched.prep
     n = prep.n
     b = np.asarray(b)
-    if b.shape[0] != n:
-        raise ShapeMismatchError(f"b has length {b.shape[0]}, expected {n}")
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ShapeMismatchError(
+            f"b has shape {b.shape}, expected ({n},) or ({n}, k)"
+        )
     dtype = solve_dtype(prep.L.data, b)
-    x = np.zeros(n, dtype=dtype)
-    diag = prep.diag
+    x = np.zeros(b.shape, dtype=dtype)
+    diag = prep.diag if b.ndim == 1 else prep.diag[:, None]
+    vals = sched.entry_vals if b.ndim == 1 else sched.entry_vals[:, None]
     level_ptr = sched.level_ptr
     entry_ptr = sched.entry_ptr
     items = sched.items
     cols = sched.entry_cols
-    vals = sched.entry_vals
     local = sched.entry_local_row
     for lv in range(sched.nlevels):
         i0, i1 = level_ptr[lv], level_ptr[lv + 1]
         rows = items[i0:i1]
         z0, z1 = entry_ptr[lv], entry_ptr[lv + 1]
         if z1 > z0:
-            contrib = np.bincount(
-                local[z0:z1],
-                weights=vals[z0:z1] * x[cols[z0:z1]],
-                minlength=i1 - i0,
-            ).astype(dtype, copy=False)
+            contrib = bincount_sums(
+                local[z0:z1], vals[z0:z1] * x[cols[z0:z1]], i1 - i0
+            )
             x[rows] = (b[rows] - contrib) / diag[rows]
         else:
             x[rows] = b[rows] / diag[rows]
     return x
-
-
-def sweep_solve_multi(sched: LevelSchedule, B: np.ndarray) -> np.ndarray:
-    """Fused forward substitution for a block of right-hand sides.
-
-    Every level step processes all columns of ``B`` at once — the fused
-    multi-RHS execution of Liu et al.'s follow-up [50], where the matrix
-    is streamed once per level regardless of the RHS count.
-    """
-    prep = sched.prep
-    n = prep.n
-    B = np.asarray(B)
-    if B.ndim != 2 or B.shape[0] != n:
-        raise ShapeMismatchError(f"B must have shape ({n}, k)")
-    dtype = solve_dtype(prep.L.data, B)
-    X = np.zeros((n, B.shape[1]), dtype=dtype)
-    diag = prep.diag
-    for lv in range(sched.nlevels):
-        i0, i1 = sched.level_ptr[lv], sched.level_ptr[lv + 1]
-        rows = sched.items[i0:i1]
-        z0, z1 = sched.entry_ptr[lv], sched.entry_ptr[lv + 1]
-        if z1 > z0:
-            contrib = np.zeros((i1 - i0, B.shape[1]), dtype=dtype)
-            products = (
-                sched.entry_vals[z0:z1, None] * X[sched.entry_cols[z0:z1]]
-            )
-            np.add.at(contrib, sched.entry_local_row[z0:z1], products)
-            X[rows] = (B[rows] - contrib) / diag[rows, None]
-        else:
-            X[rows] = B[rows] / diag[rows, None]
-    return X

@@ -789,10 +789,11 @@ class SolveService:
     ) -> _PatternEntry | None:
         """Reconstruct a pattern entry from the disk store, or ``None``.
 
-        Every failure mode — damaged bytes, version drift, a stale
-        fingerprint, a payload that no longer reconstructs — degrades to
-        ``None`` (a counted miss, so the caller falls through to a cold
-        build); nothing propagates to the request.
+        Every failure of the stored entry — damaged bytes, version
+        drift, a stale fingerprint, a payload that no longer rebuilds —
+        degrades to ``None`` (a counted miss, so the caller falls
+        through to a cold build).  Only an error from binding the
+        request's own values reaches the request, as on a cold build.
         """
         cfg = self.config
         A = job.A
@@ -818,31 +819,30 @@ class SolveService:
     ) -> _PatternEntry | None:
         if loaded is None:
             return None
+        header, payload = loaded
         try:
-            header, payload = loaded
             pattern = self._pattern_from_payload(payload)
-            # Bind the *incoming* values as the first overlay: a warm
-            # start pays one gather-rebind, never the Table 5 analysis.
-            first = self._build_overlay(pattern, job.A)
-            pattern._install(job.vfp, first)
-            if header.get("values_fp") == job.vfp:
-                # Identical value bytes to the entry's writer: adopt its
-                # verified engine verdicts instead of re-probing them.
-                compiled = first.prepared._compiled
-                steps = getattr(compiled, "_steps", None) or []
-                for idx, dec in enumerate(
-                    payload.get("engine_decisions") or []
-                ):
-                    if not dec or idx >= len(steps):
-                        continue
-                    trust = getattr(steps[idx], "_trust_engine", None)
-                    if callable(trust):
-                        for dt, keep in dec.items():
-                            if keep:
-                                trust(np.dtype(dt))
         except Exception:  # noqa: BLE001 - stale payload = counted miss
             self.store.count_corrupt(key)
             return None
+        # Bind the *incoming* values as the first overlay: a warm start
+        # pays one gather-rebind, never the Table 5 analysis.  A failure
+        # here is the request's own (e.g. a zero diagonal in its values):
+        # it propagates as on a cold build and the stored entry stays.
+        first = self._build_overlay(pattern, job.A)
+        pattern._install(job.vfp, first)
+        if header.get("values_fp") == job.vfp:
+            # Identical value bytes to the entry's writer: adopt its
+            # verified engine verdicts instead of re-probing them.
+            steps = first.prepared._compiled._steps
+            for idx, dec in enumerate(payload.get("engine_decisions") or []):
+                if not dec or idx >= len(steps):
+                    continue
+                trust = getattr(steps[idx], "_trust_engine", None)
+                if callable(trust):
+                    for dt, keep in dec.items():
+                        if keep:
+                            trust(np.dtype(dt))
         return pattern
 
     def _pattern_from_payload(self, payload: dict) -> _PatternEntry:

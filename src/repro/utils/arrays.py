@@ -18,6 +18,7 @@ __all__ = [
     "gather_row_ranges",
     "segment_ids",
     "segment_sums",
+    "bincount_sums",
 ]
 
 
@@ -69,9 +70,34 @@ def segment_ids(seg_ptr: np.ndarray) -> np.ndarray:
 
 
 def segment_sums(values: np.ndarray, seg_ptr: np.ndarray) -> np.ndarray:
-    """Per-segment sums; robust to empty segments (returns 0 for them)."""
+    """Per-segment sums; robust to empty segments (returns 0 for them).
+
+    ``values`` may be 1-D or ``(nnz, k)``; a 2-D block sums each column
+    exactly as :func:`bincount_sums` does.
+    """
     nseg = len(seg_ptr) - 1
     if len(values) == 0:
-        return np.zeros(nseg, dtype=values.dtype if values.dtype.kind == "f" else np.float64)
-    ids = segment_ids(seg_ptr)
-    return np.bincount(ids, weights=values, minlength=nseg).astype(values.dtype, copy=False)
+        return np.zeros(
+            (nseg,) + values.shape[1:],
+            dtype=values.dtype if values.dtype.kind == "f" else np.float64,
+        )
+    return bincount_sums(segment_ids(seg_ptr), values, nseg)
+
+
+def bincount_sums(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """``np.bincount(ids, weights, minlength=n)`` cast to ``weights.dtype``.
+
+    A 2-D ``(m, k)`` block of weights is summed column by column, each
+    column exactly as the 1-D call on it: float64 accumulation, then one
+    cast.  So a fused multi-RHS sum equals the single-vector sums bit for
+    bit in every precision (``np.add.at`` on the block would accumulate
+    in the value dtype instead, and is slower for small ``k``).
+    """
+    if weights.ndim == 1:
+        return np.bincount(ids, weights=weights, minlength=n).astype(
+            weights.dtype, copy=False
+        )
+    out = np.empty((n, weights.shape[1]), dtype=weights.dtype)
+    for j in range(weights.shape[1]):
+        out[:, j] = np.bincount(ids, weights=weights[:, j], minlength=n)
+    return out

@@ -42,7 +42,7 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.dcsr import DCSRMatrix
 from repro.kernels.base import prepare_lower, solve_dtype
 from repro.kernels.sptrsv_serial import solve_serial
-from repro.kernels.sweep import build_level_schedule, sweep_solve, sweep_solve_multi
+from repro.kernels.sweep import build_level_schedule, sweep_solve
 from repro.serve.cache import PlanCache
 
 from conftest import random_lower
@@ -170,7 +170,7 @@ class TestIntegerRhsPromotion:
         x = sweep_solve(sched, self.b_int)
         assert np.issubdtype(x.dtype, np.floating)
         np.testing.assert_allclose(x, self.x_ref, rtol=1e-8, atol=1e-8)
-        X = sweep_solve_multi(sched, np.stack([self.b_int, self.b_int], axis=1))
+        X = sweep_solve(sched, np.stack([self.b_int, self.b_int], axis=1))
         assert np.issubdtype(X.dtype, np.floating)
         np.testing.assert_allclose(X[:, 0], self.x_ref, rtol=1e-8, atol=1e-8)
 

@@ -142,3 +142,40 @@ class TestCostShape:
         A = CSRMatrix.from_dense(d)
         rep = ScalarCSRSpMV().run(A, np.ones(64), np.zeros(64), TITAN_RTX_SCALED)
         assert rep.detail["imbalance"] > 2.0
+
+
+class TestWidthContract:
+    """``run`` takes either width: column ``j`` of a block update is the
+    single-vector update of that column, bit for bit, in float64 and
+    float32; the report is ``report(A, device, k)``."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 8])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", list(SPMV_KERNELS))
+    def test_block_columns_equal_single_updates(self, name, dtype, k, block):
+        kernel = SPMV_KERNELS[name]()
+        A = block.astype(dtype)
+        Ain = A.to_dcsr() if kernel.wants_dcsr else A
+        rng = np.random.default_rng(44)
+        X = rng.standard_normal((block.n_cols, max(k, 1))).astype(dtype)
+        B = rng.standard_normal((block.n_rows, max(k, 1))).astype(dtype)
+        if k == 0:
+            X, B = X[:, 0].copy(), B[:, 0].copy()
+        out = B.copy()
+        report = kernel.run(Ain, X, out, TITAN_RTX_SCALED)
+        assert out.dtype == dtype
+        assert report == kernel.report(Ain, TITAN_RTX_SCALED, k)
+        assert report.flops == 2.0 * block.nnz * max(k, 1)
+        numeric = B.copy()
+        kernel.run_numeric(Ain, X, numeric)
+        assert np.array_equal(numeric, out)
+        for j in range(k):
+            bj = B[:, j].copy()
+            kernel.run(Ain, X[:, j], bj, TITAN_RTX_SCALED)
+            assert np.array_equal(out[:, j], bj), j
+
+    def test_zero_width_reports_like_one(self, block):
+        kernel = SPMV_KERNELS["vector-csr"]()
+        assert kernel.report(block, TITAN_RTX_SCALED, 0) == kernel.report(
+            block, TITAN_RTX_SCALED, 1
+        )

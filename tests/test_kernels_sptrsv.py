@@ -11,6 +11,7 @@ from repro.kernels import (
     DiagonalKernel,
     LevelSetKernel,
     SerialKernel,
+    SpTRSVKernel,
     SyncFreeKernel,
     prepare_lower,
     reference_dense_solve,
@@ -173,3 +174,90 @@ class TestPreparedLower:
         assert prep.n == small_lower.n_rows
         assert prep.nnz == small_lower.nnz
         assert prep.value_bytes == 8
+
+
+WIDTHS = [0, 1, 2, 8]
+KERNELS_5 = [SerialKernel, DiagonalKernel] + PARALLEL_KERNELS
+
+
+def _aux(kernel, dtype, device):
+    """A preprocessed system the kernel accepts, in ``dtype``."""
+    if isinstance(kernel, DiagonalKernel):
+        L = CSRMatrix.from_dense(np.diag(np.linspace(1.0, 3.0, 90)))
+    else:
+        L = random_lower(90, 0.08, seed=41)
+    aux, _ = kernel.preprocess(prepare_lower(L.astype(dtype)), device)
+    return aux
+
+
+class TestWidthContract:
+    """One numeric path and one report at every RHS width: column ``j``
+    of a block solve is the single-vector solve of that column, bit for
+    bit, in float64 and float32."""
+
+    @pytest.mark.parametrize("k", WIDTHS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel_cls", KERNELS_5)
+    def test_block_columns_equal_single_solves(
+        self, kernel_cls, dtype, k, scaled_device
+    ):
+        kernel = kernel_cls()
+        aux = _aux(kernel, dtype, scaled_device)
+        B = np.random.default_rng(42).standard_normal((90, max(k, 1)))
+        B = (B[:, 0] if k == 0 else B).astype(dtype)
+        X, report = kernel.solve(aux, B, scaled_device)
+        assert X.shape == B.shape and X.dtype == dtype
+        assert np.array_equal(kernel.solve_numeric(aux, B, scaled_device), X)
+        assert report == kernel.report(aux, scaled_device, k)
+        for j in range(k):
+            xj, _ = kernel.solve(aux, B[:, j], scaled_device)
+            assert np.array_equal(X[:, j], xj), j
+
+    @pytest.mark.parametrize("kernel_cls", KERNELS_5)
+    def test_report_scales_with_width(self, kernel_cls, scaled_device):
+        kernel = kernel_cls()
+        aux = _aux(kernel, np.float64, scaled_device)
+        single = kernel.report(aux, scaled_device, 0)
+        assert "n_rhs" not in single.detail
+        assert kernel.report(aux, scaled_device, 1).time_s == single.time_s
+        block = kernel.report(aux, scaled_device, 8)
+        assert block.detail["n_rhs"] == 8
+        assert block.flops == 8 * single.flops
+        # fused kernels beat eight separate calls; serial adds them up
+        if kernel_cls is SerialKernel:
+            assert block.detail["fused"] is False
+            assert block.launches == 8 * single.launches
+        else:
+            assert block.detail["fused"] is True
+            assert block.time_s < 8 * single.time_s
+
+    def test_kernel_overriding_only_solve_keeps_working(self, scaled_device):
+        class SolveOnly(SpTRSVKernel):
+            """A third-party kernel with the pre-split interface."""
+
+            inner = LevelSetKernel()
+
+            def preprocess(self, prep, device):
+                return self.inner.preprocess(prep, device)
+
+            def solve(self, aux, b, device):
+                return self.inner.solve(aux, b, device)
+
+        kernel = SolveOnly()
+        aux = _aux(kernel, np.float64, scaled_device)
+        B = np.random.default_rng(43).standard_normal((90, 2))
+        for b in (B[:, 0], B):
+            ref, _ = LevelSetKernel().solve(aux, b, scaled_device)
+            assert np.array_equal(
+                kernel.solve_numeric(aux, b, scaled_device), ref
+            )
+
+    def test_kernel_with_neither_path_raises(self, scaled_device):
+        class Empty(SpTRSVKernel):
+            def preprocess(self, prep, device):
+                return prep, None
+
+        with pytest.raises(NotImplementedError):
+            Empty().solve_numeric(None, np.ones(3), scaled_device)
+        with pytest.raises(NotImplementedError):
+            Empty().solve(None, np.ones(3), scaled_device)

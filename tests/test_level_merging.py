@@ -80,3 +80,19 @@ class TestMergedKernel:
             L, np.ones(200), DEV
         )
         assert rep.detail["merged"] is True
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 8])
+def test_merged_report_applies_merging_at_every_width(k):
+    L = chain_matrix(600, rng=np.random.default_rng(9))
+    kernel = LevelSetKernel(merge_levels=True)
+    aux, _ = kernel.preprocess(prepare_lower(L), DEV)
+    groups = len(aux.group_ptr) - 1
+    assert groups < aux.sched.nlevels
+    report = kernel.report(aux, DEV, k)
+    assert report.launches == groups
+    plain_kernel = LevelSetKernel()
+    plain_aux, _ = plain_kernel.preprocess(prepare_lower(L), DEV)
+    assert report.time_s < plain_kernel.report(plain_aux, DEV, k).time_s
+    b = np.ones(L.n_rows) if k == 0 else np.ones((L.n_rows, k))
+    assert kernel.solve(aux, b, DEV)[1] == report

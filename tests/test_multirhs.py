@@ -1,4 +1,5 @@
-"""Fused multi-RHS paths: matmat, sweep_solve_multi, kernel solve_multi."""
+"""Fused multi-RHS paths: matmat, and the width-agnostic sweep, SpTRSV
+and SpMV kernel entry points on ``(n, k)`` blocks."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from repro.kernels import (
     SyncFreeKernel,
     prepare_lower,
 )
-from repro.kernels.sweep import build_level_schedule, sweep_solve_multi
+from repro.kernels.sweep import build_level_schedule, sweep_solve
 
 from conftest import random_lower, random_square
 
@@ -52,16 +53,16 @@ class TestSweepSolveMulti:
     def test_matches_columnwise(self, medium_lower, rng):
         sched = build_level_schedule(prepare_lower(medium_lower))
         B = rng.standard_normal((medium_lower.n_rows, 6))
-        X = sweep_solve_multi(sched, B)
-        from repro.kernels.sweep import sweep_solve
-
+        X = sweep_solve(sched, B)
         for j in range(6):
-            assert np.allclose(X[:, j], sweep_solve(sched, B[:, j]), rtol=1e-12)
+            assert np.array_equal(X[:, j], sweep_solve(sched, B[:, j]))
 
     def test_shape_check(self, medium_lower):
         sched = build_level_schedule(prepare_lower(medium_lower))
-        with pytest.raises(ShapeMismatchError):
-            sweep_solve_multi(sched, np.ones(medium_lower.n_rows))
+        n = medium_lower.n_rows
+        for bad in (np.ones((n + 1, 2)), np.ones((n, 2, 1)), np.ones(n - 1)):
+            with pytest.raises(ShapeMismatchError):
+                sweep_solve(sched, bad)
 
 
 class TestKernelSolveMulti:
@@ -73,7 +74,7 @@ class TestKernelSolveMulti:
         prep = prepare_lower(medium_lower)
         aux, _ = kernel.preprocess(prep, DEV)
         B = rng.standard_normal((medium_lower.n_rows, 8))
-        X, fused = kernel.solve_multi(aux, B, DEV)
+        X, fused = kernel.solve(aux, B, DEV)
         for j in range(8):
             xj, single = kernel.solve(aux, B[:, j], DEV)
             assert np.allclose(X[:, j], xj, rtol=1e-11)
@@ -85,7 +86,7 @@ class TestKernelSolveMulti:
         prep = prepare_lower(small_lower)
         aux, _ = kernel.preprocess(prep, DEV)
         B = rng.standard_normal((small_lower.n_rows, 3))
-        X, report = kernel.solve_multi(aux, B, DEV)
+        X, report = kernel.solve(aux, B, DEV)
         assert report.detail["fused"] is False
         for j in range(3):
             assert np.allclose(small_lower.matvec(X[:, j]), B[:, j], atol=1e-9)
@@ -95,7 +96,7 @@ class TestKernelSolveMulti:
         kernel = DiagonalKernel()
         aux, _ = kernel.preprocess(prepare_lower(L), DEV)
         B = rng.standard_normal((20, 4))
-        X, report = kernel.solve_multi(aux, B, DEV)
+        X, report = kernel.solve(aux, B, DEV)
         assert np.allclose(X, B / aux.diag[:, None])
         assert report.detail["fused"] is True
 
@@ -109,7 +110,7 @@ class TestSpMVRunMulti:
         X = rng.standard_normal((60, 4))
         B = rng.standard_normal((60, 4))
         expect = B - A.to_dense() @ X
-        report = kernel.run_multi(Ain, X, B, DEV)
+        report = kernel.run(Ain, X, B, DEV)
         assert np.allclose(B, expect)
         assert report.detail["n_rhs"] == 4
         assert report.flops == pytest.approx(2.0 * A.nnz * 4)
@@ -120,7 +121,7 @@ class TestSpMVRunMulti:
         kernel = SPMV_KERNELS[name]()
         Ain = A.to_dcsr() if kernel.wants_dcsr else A
         X = rng.standard_normal((2000, 16))
-        t_fused = kernel.run_multi(Ain, X, np.zeros((2000, 16)), DEV).time_s
+        t_fused = kernel.run(Ain, X, np.zeros((2000, 16)), DEV).time_s
         t_single = kernel.run(Ain, X[:, 0], np.zeros(2000), DEV).time_s
         assert t_fused < 16 * t_single
 
@@ -128,4 +129,27 @@ class TestSpMVRunMulti:
         A = random_square(10, 0.3)
         kernel = SPMV_KERNELS["scalar-csr"]()
         with pytest.raises(ShapeMismatchError):
-            kernel.run_multi(A, np.ones((11, 2)), np.ones((10, 2)), DEV)
+            kernel.run(A, np.ones((11, 2)), np.ones((10, 2)), DEV)
+        with pytest.raises(ShapeMismatchError):
+            kernel.run(A, np.ones((10, 2)), np.ones((10, 3)), DEV)
+
+
+class TestFormatsWidth:
+    """CSR/DCSR block products sum each column as ``matvec`` does, so
+    they equal the per-column products bit for bit in float32 too (the
+    kernels' width tests cover the sweep)."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("fmt", ["csr", "dcsr"])
+    def test_matmat_columns_equal_matvec(self, fmt, dtype, rng):
+        d = np.zeros((60, 50))
+        d[::3] = (rng.random((20, 50)) < 0.3) * rng.standard_normal((20, 50))
+        A = CSRMatrix.from_dense(d).astype(dtype)
+        if fmt == "dcsr":
+            A = A.to_dcsr()
+        X = rng.standard_normal((50, 8)).astype(dtype)
+        Y = A.matmat(X)
+        assert Y.dtype == dtype
+        assert np.array_equal(A.matvec(X), Y)
+        for j in range(8):
+            assert np.array_equal(Y[:, j], A.matvec(X[:, j])), j

@@ -229,6 +229,35 @@ class TestWarmRestart:
         assert store.stats().writes == 1
 
 
+    def test_request_values_error_keeps_the_entry(self, tmp_path):
+        """A request whose own values are singular gets its error, and
+        the good stored pattern survives for the next process."""
+        from dataclasses import replace
+
+        from repro.errors import SingularMatrixError
+
+        L = random_lower(120, density=0.06, seed=13)
+        _warm_store(tmp_path, [L])
+        row = 40
+        lo, hi = L.indptr[row], L.indptr[row + 1]
+        data = L.data.copy()
+        data[lo + int(np.nonzero(L.indices[lo:hi] == row)[0][0])] = 0.0
+        bad = replace(L, data=data, _validated=True)
+        with SolveService(ServiceConfig(store_path=str(tmp_path))) as svc:
+            with pytest.raises(SingularMatrixError) as info:
+                svc.solve(bad, np.ones(L.n_rows))
+            stats = svc.stats()
+        assert info.value.row == row
+        assert stats.store.corrupt == 0
+        assert stats.store.hits == 1
+        with SolveService(ServiceConfig(store_path=str(tmp_path))) as svc:
+            x = svc.solve(L, np.ones(L.n_rows)).x
+            stats = svc.stats()
+        assert stats.store_hits == 1
+        assert stats.pattern_builds == 0
+        assert np.abs(L.matvec(x) - 1.0).max() < 1e-8
+
+
 class TestStoreMaintenance:
     def test_ls_and_gc(self, tmp_path):
         mats = [random_lower(80, density=0.08, seed=s) for s in (31, 32)]

@@ -10,10 +10,12 @@ from repro import (
     PreparedSolve,
     RecursiveBlockSolver,
     SolveService,
+    available_methods,
     register_solver,
     solve_triangular,
     unregister_solver,
 )
+import repro.core.executor as executor_mod
 from repro.core.executor import _ArenaPool
 from repro.core.rebind import PlanRebinder, RebindError, tracer_matrix
 from repro.gpu.device import TITAN_RTX_SCALED
@@ -231,6 +233,32 @@ class TestStructuralService:
             singles = [svc.solve(r.A, r.b) for r in reqs]
         assert out.fused_requests == len(reqs)
         for res, single in zip(out, singles):
+            assert np.array_equal(res.x, single.x)
+
+    @pytest.mark.parametrize("engine", [True, False], ids=["engine", "no-engine"])
+    @pytest.mark.parametrize("method", available_methods())
+    def test_float32_fused_batch_bit_identical_to_per_request(
+        self, method, engine, monkeypatch
+    ):
+        # Each column of a fused solve must sum its products exactly as
+        # a single-vector solve does, in single precision too; without
+        # the SuperLU engine every step runs on the kernels' numerics.
+        if not engine:
+            monkeypatch.setattr(executor_mod, "_HAVE_SUPERLU", False)
+        L = random_lower(300, 0.05, seed=61, dtype=np.float32)
+        variants = [L, revalue(L, seed=62)]
+        rng = np.random.default_rng(63)
+        reqs = [
+            SolveRequest(A=V, b=rng.standard_normal(300).astype(np.float32))
+            for V in variants
+            for _ in range(2)
+        ]
+        with SolveService(method=method, max_workers=1) as svc:
+            out = svc.solve_batch(reqs)
+            singles = [svc.solve(r.A, r.b) for r in reqs]
+        assert out.fused_requests == len(reqs)
+        for res, single in zip(out, singles):
+            assert res.x.dtype == np.float32
             assert np.array_equal(res.x, single.x)
 
     def test_overlay_capacity_evicts_but_stays_correct(self):
